@@ -10,9 +10,9 @@ from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expect
 from .errors import ConfigurationError, SolverError, UnidentifiableError
 from .estimators import (BetaSchedule, LuenbergerSpec, LuenbergerState, SmoothingSpec,
                          SmoothingState, delta_tilde, e_theta_envelope, envelope_series,
-                         luenberger_forecast, luenberger_update, smoothing_update)
+                         luenberger_update, smoothing_update)
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
-                    eval_latency, forecast_flows, m_max_default, p_flows)
+                    eval_latency, m_max_default, p_flows)
 
 __all__ = [
     "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
@@ -20,8 +20,8 @@ __all__ = [
     "Signal", "SimulationState", "SmoothingSpec", "SmoothingState", "SolverError",
     "TrajectoryRecord", "UnidentifiableError", "calibration_score", "check_obedience",
     "delta_tilde", "e_theta_envelope", "envelope_series", "eval_latency", "expected_latency",
-    "forecast_flows", "initial_state", "instantaneous_regret", "lipschitz_estimate",
-    "luenberger_forecast", "luenberger_update", "m_max_default", "p_flows", "potential",
-    "project_simplex", "recover_theta", "regret_update", "simulate", "smoothing_update",
-    "solve_bwe", "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
+    "initial_state", "instantaneous_regret", "lipschitz_estimate", "luenberger_update",
+    "m_max_default", "p_flows", "potential", "project_simplex", "recover_theta",
+    "regret_update", "simulate", "smoothing_update", "solve_bwe", "step", "theta_of_m",
+    "verify_vi", "write_trajectory_csv",
 ]

@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-obedience", help="test a signal's obedience condition")
     chk.add_argument("--config", required=True, help="path to the YAML config")
-    chk.add_argument("--tol", type=float, default=1e-8, help="slack tolerance")
+    chk.add_argument("--tol", type=float, default=None,
+                     help="slack tolerance (default: the config's solver_tol)")
     chk.add_argument("--json", action="store_true", help="print the report as JSON")
     chk.set_defaults(func=cmd_check_obedience)
     return parser

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import solve_bwe
+from .equilibrium import best_response
 from .errors import ConfigurationError, SolverError, UnidentifiableError
-from .estimators import (LuenbergerState, SmoothingSpec, SmoothingState, envelope_series,
-                         luenberger_forecast, luenberger_update, smoothing_update)
-from .model import GameConfig, Scenario, Signal, eval_latency, forecast_flows, p_flows
+from .estimators import (LuenbergerState, SmoothingSpec, SmoothingState, envelope_series, observe,
+                         smooth)
+from .model import (CompiledGame, GameConfig, Scenario, Signal, flows, poly_rows,
+                    rerouting_shift)
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +42,7 @@ class SimulationState:
     nu_current: float
     rng: np.random.Generator
     y_warm: np.ndarray | None = None
+    game: CompiledGame | None = None  # the config's compiled game, from round 1 on
 
 
 @dataclass(frozen=True)
@@ -60,23 +63,31 @@ class TrajectoryRecord:
     flow_gap: float
 
 
+def payoff_gap(pi_w: np.ndarray, matrix: np.ndarray, ell: np.ndarray) -> float:
+    """Kernel of :func:`instantaneous_regret` for one recommendation row."""
+    return float(pi_w @ ell - pi_w @ (matrix @ ell))
+
+
 def instantaneous_regret(signal: Signal, disobedience, ell: np.ndarray, omega: int) -> float:
     """Aggregate payoff difference of the recommendations against fixed deviations."""
     ell = np.asarray(ell, dtype=float)
     if not np.all(np.isfinite(ell)):
         raise ConfigurationError("latencies must be finite")
-    pi_w = signal.pi[omega]
-    return float(pi_w @ ell - pi_w @ (disobedience.matrix @ ell))
+    return payoff_gap(signal.pi[omega], disobedience.matrix, ell)
+
+
+def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
+    """Kernel of :func:`regret_update`; ``discount`` is None for the running average."""
+    if discount is not None:
+        return discount * m + (1.0 - discount) * u
+    return (k * m + u) / (k + 1.0)
 
 
 def regret_update(m: float, u: float, k: int, scenario: Scenario) -> float:
     """Fold round-k payoff difference into the aggregate regret."""
     if k < 1:
         raise ConfigurationError(f"round index must be >= 1, got {k}")
-    if scenario.kind == "discounted":
-        lam = scenario.discount
-        return lam * m + (1.0 - lam) * u
-    return (k * m + u) / (k + 1.0)
+    return fold_regret(m, u, k, scenario.discount)
 
 
 def theta_of_m(m: float, m_max: float) -> float:
@@ -98,7 +109,7 @@ def recover_theta(config: GameConfig, observed_total_flows: np.ndarray, omega: i
     f = np.asarray(observed_total_flows, dtype=float)
     x = f - np.asarray(y_known, dtype=float)
     pi_w = config.signal.pi[omega]
-    coeff = config.disobedience.matrix.T @ pi_w - pi_w
+    coeff = rerouting_shift(config.disobedience.matrix, pi_w)
     scale = float(np.abs(coeff).max())
     if scale <= _COEFF_TOL:
         raise UnidentifiableError(
@@ -125,51 +136,52 @@ def initial_state(config: GameConfig) -> SimulationState:
     )
 
 
-def _sample_state(rng: np.random.Generator, mu0: np.ndarray) -> int:
+def _sample_state(rng: np.random.Generator, cum_prior: tuple[float, ...]) -> int:
     """Inverse-CDF draw with the states' listed order as the cumulative order."""
-    idx = int(np.searchsorted(np.cumsum(mu0), rng.random(), side="right"))
-    return min(idx, mu0.size - 1)  # cumsum can round a hair below 1
+    idx = bisect_right(cum_prior, rng.random())
+    return min(idx, len(cum_prior) - 1)  # the cumulative sum can round a hair below 1
 
 
 def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, TrajectoryRecord]:
-    """Advance the game by one round."""
+    """Advance the game by one round.
+
+    Runs the kernels on the config's compiled game and revalidates nothing:
+    the config was validated when it was built, and every value here derives
+    from it.  The first round compiles the game; the state carries it on.
+    """
+    game = CompiledGame.of(config) if state.game is None else state.game
     k = state.k
-    omega = _sample_state(state.rng, config.prior.mu0)
-    theta = theta_of_m(state.m, config.m_max)
+    omega = _sample_state(state.rng, game.cum_prior)
+    theta = theta_of_m(state.m, game.m_max)
 
-    if state.nu_current != config.signal.nu:
-        eff_signal = config.signal.with_mass(state.nu_current)
-        eff_config = replace(config, signal=eff_signal)
-    else:
-        eff_signal = config.signal
-        eff_config = config
-
-    x = p_flows(eff_signal, config.disobedience, theta, omega)
-    x_hat = forecast_flows(eff_signal, config.disobedience, state.theta_hat, omega)
+    # Under dynamic nu the participating mass follows the last round's theta.
+    pi, shift = game.signal_at(state.nu_current)
+    pi_w, shift_w = pi[omega], shift[omega]
+    x = flows(pi_w, shift_w, theta)
+    x_hat = flows(pi_w, shift_w, state.theta_hat)
     try:
-        response = solve_bwe(eff_config, state.theta_hat,
-                             mass=1.0 - config.signal.nu, start=state.y_warm)
+        y = best_response(game, pi, shift, state.theta_hat, state.y_warm)[0]
     except SolverError as exc:
         raise SolverError(f"round {k}: {exc}", last_iterate=exc.last_iterate,
                           vi_margin=exc.vi_margin, iterations=exc.iterations) from exc
-    y = response.y
-    ell = eval_latency(config.latency, omega, x + y)
-    u = instantaneous_regret(eff_signal, config.disobedience, ell, omega)
-    m_next = regret_update(state.m, u, k, config.scenario)
-    if abs(m_next) > config.m_max:
+    latency = game.coeffs[:, omega, :]
+    ell = poly_rows(latency, x + y)
+    u = payoff_gap(pi_w, game.rerouting, ell)
+    m_next = fold_regret(state.m, u, k, game.discount)
+    if abs(m_next) > game.m_max:
         logger.warning("round %d: regret %s clamped to [-%s, %s]", k, m_next,
-                       config.m_max, config.m_max)
-        m_next = min(max(m_next, -config.m_max), config.m_max)
+                       game.m_max, game.m_max)
+        m_next = min(max(m_next, -game.m_max), game.m_max)
 
-    if isinstance(state.estimator_state, SmoothingState):
-        est_next = smoothing_update(state.estimator_state, theta, k)
+    est = state.estimator_state
+    if isinstance(est, SmoothingState):
+        est_next = smooth(est, theta, est.schedule.at(k + 1))
         theta_hat_next = est_next.theta_hat
     else:
-        ell_pred = eval_latency(config.latency, omega, x_hat + y)
-        est_next = luenberger_update(state.estimator_state, u, ell, ell_pred)
-        theta_hat_next = luenberger_forecast(est_next, config.m_max)
+        est_next = observe(est, u, game.gain, ell, poly_rows(latency, x_hat + y))
+        theta_hat_next = theta_of_m(est_next.m_hat, game.m_max)
 
-    nu_next = theta if config.scenario.kind == "dynamic_nu" else state.nu_current
+    nu_next = theta if game.dynamic_nu else state.nu_current
 
     record = TrajectoryRecord(
         k=k,
@@ -183,7 +195,7 @@ def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, T
         u=u,
         m_next=m_next,
         e_theta=theta - state.theta_hat,
-        flow_gap=float(np.abs(x - eff_signal.pi[omega]).max()),
+        flow_gap=float(np.abs(x - pi_w).max()),
     )
     next_state = SimulationState(
         k=k + 1,
@@ -193,6 +205,7 @@ def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, T
         nu_current=nu_next,
         rng=state.rng,
         y_warm=y,
+        game=game,
     )
     return next_state, record
 

@@ -18,7 +18,8 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .model import GameConfig, OUTPUT_TOL, eval_latency, forecast_flows
+from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, eval_latency,
+                    flows, p_flows, poly_rows)
 
 ARMIJO_C1 = 1e-4
 MAX_ITER = 10_000
@@ -95,31 +96,20 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _response_coeffs(config: GameConfig, theta: float) -> np.ndarray:
+def response_coeffs(game: CompiledGame, pi: np.ndarray, shift: np.ndarray,
+                    theta: float) -> np.ndarray:
     """Coefficients c[p, i] of the expected latency on link i as a polynomial in y_i.
 
-    Expands each latency term around the forecast participating flow for the
-    given theta and averages over the prior.
+    Expands each latency term around the forecast participating flows for the
+    given theta and averages over the prior.  The d = p terms are compiled;
+    the others are added to them in the expansion's order.
     """
-    lat = config.latency
-    mu0 = config.prior.mu0
-    xhat = np.stack([
-        forecast_flows(config.signal, config.disobedience, theta, w)
-        for w in range(lat.num_states)
-    ])
-    out = np.zeros((lat.degree + 1, lat.n))
-    for d in range(lat.degree + 1):
-        alpha_d = lat.coeffs[d]
-        for p in range(d + 1):
-            out[p] += comb(d, p) * (mu0 @ (alpha_d * xhat ** (d - p)))
-    return out
-
-
-def _poly_rows(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate, per link i, the polynomial with coefficients coeffs[:, i] at y[i]."""
-    out = np.array(coeffs[-1])
-    for p in range(coeffs.shape[0] - 2, -1, -1):
-        out = out * y + coeffs[p]
+    xhat = flows(pi, shift, theta)
+    out = game.response_const.copy()
+    for d in range(1, game.coeffs.shape[0]):
+        alpha_d = game.coeffs[d]
+        for p in range(d):
+            out[p] += comb(d, p) * (game.mu0 @ (alpha_d * xhat ** (d - p)))
     return out
 
 
@@ -150,7 +140,7 @@ def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndar
     y = _check_candidate(y, config.latency.n)
     acc = np.zeros(config.latency.n)
     for w in range(config.latency.num_states):
-        xw = forecast_flows(config.signal, config.disobedience, theta, w)
+        xw = p_flows(config.signal, config.disobedience, theta, w)
         acc += config.prior.mu0[w] * eval_latency(config.latency, w, xw + y)
     return acc
 
@@ -161,8 +151,10 @@ def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
     Integrated in closed form per monomial, so gradients carry no quadrature
     error.
     """
+    _check_unit_interval(theta, "theta")
     y = _check_candidate(y, config.latency.n)
-    return _potential_from_coeffs(_response_coeffs(config, theta), y)
+    game = CompiledGame.of(config)
+    return _potential_from_coeffs(response_coeffs(game, game.pi, game.shift, theta), y)
 
 
 def _vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
@@ -184,39 +176,33 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray, *,
     return _vi_margin(expected_latency(config, theta, np.maximum(y, 0.0)), y, mass)
 
 
-def solve_bwe(config: GameConfig, theta: float, *, mass: float | None = None,
-              start: np.ndarray | None = None, max_iter: int = MAX_ITER) -> BestResponse:
-    """Best response of the non-participating mass to the forecast theta.
+def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
+                  start: np.ndarray | None = None, max_iter: int = MAX_ITER):
+    """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
-    Deterministic projected gradient descent with halving Armijo line search,
-    started from the uniform point unless ``start`` is given.  Converged when
-    the vertex VI margin clears ``-config.solver_tol``.
+    Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
+    the response mass is zero.  The potential and the trial step are needed
+    only once the start point fails its certificate, so they are computed then.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigurationError(f"theta = {theta} outside [0, 1]")
-    n = config.latency.n
-    if mass is None:
-        mass = 1.0 - config.signal.nu
-    if mass < 0:
-        raise ConfigurationError(f"response mass must be nonnegative, got {mass}")
+    mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
-        return BestResponse(y=np.zeros(n), theta=theta, potential_value=0.0,
-                            vi_margin=0.0, iterations=0)
-    coeffs = _response_coeffs(config, theta)
+        return np.zeros(n), None, 0.0, 0
+    coeffs = response_coeffs(game, pi, shift, theta)
     if start is None:
         y = np.full(n, mass / n)
     else:
         y = project_simplex(np.asarray(start, dtype=float), mass)
-    tol = config.solver_tol
-    t_init = _trial_step(coeffs, mass)
-    phi = _potential_from_coeffs(coeffs, y)
+    tol = game.solver_tol
+    phi = t_init = None
     margin = 0.0
     for it in range(max_iter):
-        grad = _poly_rows(coeffs, y)
+        grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -tol:
-            return BestResponse(y=y, theta=theta, potential_value=phi,
-                                vi_margin=margin, iterations=it)
+            return y, coeffs, margin, it
+        if phi is None:
+            phi = _potential_from_coeffs(coeffs, y)
+            t_init = _trial_step(coeffs, mass)
         t = t_init
         guard = _NOISE_GUARD * max(1.0, abs(phi))
         while True:
@@ -236,6 +222,24 @@ def solve_bwe(config: GameConfig, theta: float, *, mass: float | None = None,
                       last_iterate=y, vi_margin=margin, iterations=max_iter)
 
 
+def solve_bwe(config: GameConfig, theta: float, *, start: np.ndarray | None = None,
+              max_iter: int = MAX_ITER) -> BestResponse:
+    """Best response of the non-participating mass 1 - nu to the forecast theta.
+
+    Deterministic projected gradient descent with halving Armijo line search,
+    started from the uniform point unless ``start`` is given.  Converged when
+    the vertex VI margin clears ``-config.solver_tol``.
+    """
+    _check_unit_interval(theta, "theta")
+    if config.signal.nu == 1.0:  # nothing to respond with; skip compiling the game
+        return BestResponse(y=np.zeros(config.latency.n), theta=theta, potential_value=0.0,
+                            vi_margin=0.0, iterations=0)
+    game = CompiledGame.of(config)
+    y, coeffs, margin, it = best_response(game, game.pi, game.shift, theta, start, max_iter)
+    return BestResponse(y=y, theta=theta, potential_value=_potential_from_coeffs(coeffs, y),
+                        vi_margin=margin, iterations=it)
+
+
 def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceReport:
     """Evaluate both obedience inequality families at the canonical witness y(0).
 
@@ -247,10 +251,9 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     if tol is None:
         tol = config.solver_tol
     y0 = solve_bwe(config, 0.0)
-    lat, mu0, pi = config.latency, config.prior.mu0, config.signal.pi
-    n = lat.n
+    coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi
     full = np.stack([
-        eval_latency(lat, w, pi[w] + y0.y) for w in range(lat.num_states)
+        poly_rows(coeffs[:, w, :], pi[w] + y0.y) for w in range(pi.shape[0])
     ])                                        # full[w, i] = latency on i in state w
     gap = full[:, :, None] - full[:, None, :]  # gap[w, i, j] = cost of i minus cost of j
     obedience = np.einsum("w,wi,wij->ij", mu0, pi, gap)

@@ -78,9 +78,6 @@ class LuenbergerSpec:
     def from_scalar(cls, gain: float, n: int) -> "LuenbergerSpec":
         return cls(gain=(float(gain),) * n)
 
-    def gain_vector(self) -> np.ndarray:
-        return np.asarray(self.gain, dtype=float)
-
 
 @dataclass(frozen=True)
 class SmoothingState:
@@ -95,6 +92,12 @@ class LuenbergerState:
     k: int
 
 
+def smooth(state: SmoothingState, theta_observed: float, beta: float) -> SmoothingState:
+    """Kernel of :func:`smoothing_update`, with the round's weight given."""
+    theta_hat = beta * theta_observed + (1.0 - beta) * state.theta_hat
+    return SmoothingState(theta_hat=theta_hat, schedule=state.schedule)
+
+
 def smoothing_update(state: SmoothingState, theta_observed: float, k: int) -> SmoothingState:
     """One smoothing step: blend the round-k observation into the forecast.
 
@@ -105,8 +108,15 @@ def smoothing_update(state: SmoothingState, theta_observed: float, k: int) -> Sm
     beta = state.schedule.at(k + 1)
     if not 0.0 < beta < 1.0:
         raise ConfigurationError(f"smoothing weight {beta} outside (0, 1)")
-    theta_hat = beta * theta_observed + (1.0 - beta) * state.theta_hat
-    return SmoothingState(theta_hat=theta_hat, schedule=state.schedule)
+    return smooth(state, theta_observed, beta)
+
+
+def observe(state: LuenbergerState, u: float, gain: np.ndarray, ell: np.ndarray,
+            ell_hat: np.ndarray) -> LuenbergerState:
+    """Kernel of :func:`luenberger_update`; ``gain`` is ``state.gain`` as an array."""
+    k = state.k
+    m_hat = k / (k + 1.0) * state.m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
+    return LuenbergerState(m_hat=m_hat, gain=state.gain, k=k + 1)
 
 
 def luenberger_update(state: LuenbergerState, u: float, latencies_observed: np.ndarray,
@@ -117,14 +127,7 @@ def luenberger_update(state: LuenbergerState, u: float, latencies_observed: np.n
     gain = np.asarray(state.gain, dtype=float)
     if ell.shape != ell_hat.shape or ell.shape != gain.shape:
         raise ConfigurationError("observer gain and latency vectors must share one length")
-    k = state.k
-    m_hat = k / (k + 1.0) * state.m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
-    return LuenbergerState(m_hat=m_hat, gain=state.gain, k=k + 1)
-
-
-def luenberger_forecast(state: LuenbergerState, m_max: float) -> float:
-    """Disobedience forecast implied by the observer state."""
-    return min(max(state.m_hat, 0.0) / m_max, 1.0)
+    return observe(state, u, gain, ell, ell_hat)
 
 
 def delta_tilde(k: int, beta_min: float) -> float:

@@ -6,6 +6,14 @@ recommendation signal stores one row per state; each row lives on the simplex
 of mass ``nu`` (the participating fraction), so flows derived from it are used
 directly, without an extra ``nu`` prefactor.  All types are immutable after
 validation and all operations here are pure.
+
+Inputs are validated once, where they enter: the domain types and
+:class:`GameConfig` check themselves on construction, and the public functions
+check their arguments.  The round loop runs on a :class:`CompiledGame`, the
+config's constants derived once per run, through kernels that check nothing;
+the run carries it in its state, so a config holds no cached copy.  Each
+public function is a validating wrapper over the same kernel, so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -145,13 +153,17 @@ class Signal:
     def with_mass(self, target: float) -> "Signal":
         """Proportionally rescale every row to the given mass."""
         _check_unit_interval(target, "target mass")
-        if target == self.nu:
-            return self
-        if self.nu == 0.0:
-            if target == 0.0:
-                return self
-            raise ConfigurationError("cannot rescale a zero-mass signal to positive mass")
-        return Signal(pi=self.pi * (target / self.nu), nu=target)
+        pi = _rescaled(self.pi, self.nu, target)
+        return self if pi is self.pi else Signal(pi=pi, nu=target)
+
+
+def _rescaled(pi: np.ndarray, nu: float, target: float) -> np.ndarray:
+    """Rows of mass nu proportionally rescaled to mass target; ``pi`` itself if unchanged."""
+    if target == nu:
+        return pi
+    if nu == 0.0:
+        raise ConfigurationError("cannot rescale a zero-mass signal to positive mass")
+    return pi * (target / nu)
 
 
 @dataclass(frozen=True)
@@ -299,6 +311,18 @@ class GameConfig:
             raise ConfigurationError(f"seed must be an integer, got {type(self.seed).__name__}")
 
 
+def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Evaluate, per link i, the polynomial with coefficients ``coeffs[:, i]`` at ``f[i]``.
+
+    Horner's rule from the top coefficient down; the kernel behind latencies
+    and the best response's gradient.
+    """
+    out = np.array(coeffs[-1])
+    for d in range(coeffs.shape[0] - 2, -1, -1):
+        out = out * f + coeffs[d]
+    return out
+
+
 def eval_latency(model: LatencyModel, omega: int, f: np.ndarray) -> np.ndarray:
     """Per-link latencies in state ``omega`` at the given link flows."""
     if not 0 <= omega < model.num_states:
@@ -308,11 +332,7 @@ def eval_latency(model: LatencyModel, omega: int, f: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"flow vector shape {f.shape} does not match {model.n} links")
     if not np.all(np.isfinite(f)) or np.any(f < 0):
         raise ConfigurationError("flows must be finite and nonnegative")
-    c = model.coeffs[:, omega, :]
-    out = np.array(c[-1])
-    for d in range(model.degree - 1, -1, -1):
-        out = out * f + c[d]
-    return out
+    return poly_rows(model.coeffs[:, omega, :], f)
 
 
 def m_max_default(model: LatencyModel) -> float:
@@ -323,13 +343,24 @@ def m_max_default(model: LatencyModel) -> float:
     return float(model.coeffs.max(axis=1).sum())
 
 
+def rerouting_shift(matrix: np.ndarray, pi_w: np.ndarray) -> np.ndarray:
+    """Change of the participating flows per unit of disobedience: D^T pi_w - pi_w."""
+    return matrix.T @ pi_w - pi_w
+
+
+def flows(pi: np.ndarray, shift: np.ndarray, theta: float) -> np.ndarray:
+    """Participating flows when a fraction theta deviates; rows or single states alike."""
+    return pi + theta * shift
+
+
 def p_flows(signal: Signal, disobedience: DisobedienceMatrix, theta: float,
             omega: int) -> np.ndarray:
     """Link flows induced by participating agents when a fraction theta deviates.
 
     The obedient share follows the recommendation row; the deviating share is
     rerouted through the disobedience matrix.  The result stays on the simplex
-    of mass ``signal.nu``.
+    of mass ``signal.nu``.  At a forecast theta_hat the same map gives the
+    forecast flows.
     """
     _check_unit_interval(theta, "theta")
     if not 0 <= omega < signal.pi.shape[0]:
@@ -338,10 +369,61 @@ def p_flows(signal: Signal, disobedience: DisobedienceMatrix, theta: float,
     if signal.pi.shape[1] != disobedience.n:
         raise ConfigurationError(
             f"signal has {signal.pi.shape[1]} links, disobedience matrix {disobedience.n}")
-    return pi_w + theta * (disobedience.matrix.T @ pi_w - pi_w)
+    return flows(pi_w, rerouting_shift(disobedience.matrix, pi_w), theta)
 
 
-def forecast_flows(signal: Signal, disobedience: DisobedienceMatrix, theta_hat: float,
-                   omega: int) -> np.ndarray:
-    """Forecast of participating-agent flows; same map as :func:`p_flows` at theta_hat."""
-    return p_flows(signal, disobedience, theta_hat, omega)
+@dataclass(frozen=True, eq=False, slots=True)
+class CompiledGame:
+    """Constants of the round loop, derived once from a validated :class:`GameConfig`.
+
+    Every array is computed with the expression the validated public functions
+    use, so the kernels that read it reproduce them bit for bit.
+    ``response_const`` holds the d = p terms of the best response's binomial
+    expansion, the only ones that do not depend on the forecast flows.
+    """
+
+    nu: float
+    mass: float                         # non-participating mass 1 - nu
+    m_max: float
+    solver_tol: float
+    coeffs: np.ndarray                  # latency coefficients (degree + 1, states, links)
+    mu0: np.ndarray
+    cum_prior: tuple[float, ...]        # cumulative prior, for inverse-CDF state draws
+    pi: np.ndarray                      # (states, links) recommendation rows
+    shift: np.ndarray                   # row w: rerouting_shift(D, pi[w])
+    rerouting: np.ndarray               # disobedience matrix D
+    response_const: np.ndarray          # (degree + 1, links)
+    discount: float | None              # set for the discounted scenario only
+    dynamic_nu: bool
+    gain: np.ndarray | None             # observer estimator only
+
+    @classmethod
+    def of(cls, config: GameConfig) -> "CompiledGame":
+        coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi
+        const = np.zeros((coeffs.shape[0], coeffs.shape[2]))
+        for p in range(coeffs.shape[0]):
+            const[p] += mu0 @ coeffs[p]
+        est = config.estimator
+        return cls(
+            nu=config.signal.nu,
+            mass=1.0 - config.signal.nu,
+            m_max=config.m_max,
+            solver_tol=config.solver_tol,
+            coeffs=coeffs,
+            mu0=mu0,
+            cum_prior=tuple(np.cumsum(mu0).tolist()),
+            pi=pi,
+            shift=np.stack([rerouting_shift(config.disobedience.matrix, row) for row in pi]),
+            rerouting=config.disobedience.matrix,
+            response_const=const,
+            discount=config.scenario.discount,
+            dynamic_nu=config.scenario.kind == "dynamic_nu",
+            gain=np.asarray(est.gain, dtype=float) if isinstance(est, LuenbergerSpec) else None,
+        )
+
+    def signal_at(self, nu_current: float) -> tuple[np.ndarray, np.ndarray]:
+        """Recommendation rows and their shifts, proportionally rescaled to mass ``nu_current``."""
+        pi = _rescaled(self.pi, self.nu, nu_current)
+        if pi is self.pi:
+            return self.pi, self.shift
+        return pi, np.stack([rerouting_shift(self.rerouting, row) for row in pi])

@@ -272,6 +272,13 @@ class TestCheckObedienceCommand:
         assert rc == 2
         assert "NOT obedient" in capsys.readouterr().out
 
+    def test_tolerance_defaults_to_solver_tol(self, tmp_path, capsys):
+        path = write_config(tmp_path, solver_tol=1e-6)
+        assert main(["check-obedience", "--config", str(path)]) == 0
+        assert "(tol=1e-06)" in capsys.readouterr().out
+        assert main(["check-obedience", "--config", str(path), "--tol", "1e-3"]) == 0
+        assert "(tol=0.001)" in capsys.readouterr().out
+
     def test_json_report(self, capsys):
         rc = main(["check-obedience", "--config", str(PAPER_CONFIG), "--json"])
         assert rc == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -215,7 +216,7 @@ class TestStep:
             raise SolverError("synthetic", last_iterate=np.zeros(2), vi_margin=-1.0,
                               iterations=0)
 
-        monkeypatch.setattr(dyn, "solve_bwe", boom)
+        monkeypatch.setattr(dyn, "best_response", boom)
         with pytest.raises(SolverError, match="round 1"):
             simulate(paper_config)
 
@@ -253,6 +254,16 @@ class TestSimulate:
                 assert abs(rec.m_next) <= cfg.m_max + 1e-12
                 if scenario.kind != "dynamic_nu":
                     assert rec.x.sum() + rec.y.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_config_warnings_not_repeated_per_round(self, paper_config, caplog):
+        # the dynamic-nu rescaling must not rebuild, and so revalidate, the config
+        cfg = replace(paper_config, scenario=Scenario.dynamic_nu(),
+                      estimator=LuenbergerSpec.from_scalar(0.01, 2), rounds=50)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            simulate(cfg)
+        assert [r.getMessage() for r in caplog.records
+                if "stability unanalyzed" in r.getMessage()] == []
 
     def test_luenberger_estimator_tracks_regret(self, paper_config):
         cfg = replace(paper_config, estimator=LuenbergerSpec.from_scalar(0.0, 2), rounds=800)

@@ -21,14 +21,14 @@ class TestExpectedLatency:
         assert out == pytest.approx([13.6, 21.4], abs=1e-12)
 
     def test_single_state_reduces_to_latency_at_total_flow(self):
-        from routegame import eval_latency, forecast_flows
+        from routegame import eval_latency, p_flows
         cfg = GameConfig(
             latency=LatencyModel(states=("only",), coeffs=[[[2.0, 3.0]], [[1.0, 2.0]]]),
             prior=Prior([1.0]),
             signal=Signal(pi=[[0.2, 0.3]], nu=0.5),
             disobedience=DisobedienceMatrix.default(2))
         y = np.array([0.1, 0.4])
-        xhat = forecast_flows(cfg.signal, cfg.disobedience, 0.3, 0)
+        xhat = p_flows(cfg.signal, cfg.disobedience, 0.3, 0)
         assert expected_latency(cfg, 0.3, y) == pytest.approx(
             eval_latency(cfg.latency, 0, xhat + y), abs=1e-15)
 

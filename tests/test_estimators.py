@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from routegame import (BetaSchedule, ConfigurationError, LuenbergerState, SmoothingState,
-                       delta_tilde, e_theta_envelope, envelope_series, luenberger_forecast,
-                       luenberger_update, simulate, smoothing_update)
+                       delta_tilde, e_theta_envelope, envelope_series, luenberger_update,
+                       simulate, smoothing_update, theta_of_m)
 
 from conftest import benchmark_config
 
@@ -113,9 +113,10 @@ class TestLuenberger:
         assert nxt.k == 4
 
     def test_forecast_clamps(self):
-        assert luenberger_forecast(LuenbergerState(m_hat=-3.0, gain=(0.0,), k=1), 10.0) == 0.0
-        assert luenberger_forecast(LuenbergerState(m_hat=5.0, gain=(0.0,), k=1), 10.0) == 0.5
-        assert luenberger_forecast(LuenbergerState(m_hat=20.0, gain=(0.0,), k=1), 10.0) == 1.0
+        # the observer's forecast is the fraction its regret estimate m_hat implies
+        assert theta_of_m(-3.0, 10.0) == 0.0
+        assert theta_of_m(5.0, 10.0) == 0.5
+        assert theta_of_m(20.0, 10.0) == 1.0
 
 
 class TestEnvelope:

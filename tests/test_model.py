@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (ConfigurationError, DisobedienceMatrix, LatencyModel, Prior, Signal,
-                       eval_latency, forecast_flows, instantaneous_regret, m_max_default,
-                       p_flows)
+from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
+                       Signal, eval_latency, instantaneous_regret, m_max_default, p_flows)
+from routegame.model import CompiledGame, flows
 
 from conftest import affine_latency
 
@@ -105,17 +105,21 @@ class TestFlowMaps:
         assert p_flows(sig, SWAP, 0.5, 0) == pytest.approx([0.25, 0.25], abs=1e-15)
 
     def test_forecast_is_same_map(self):
+        # the round loop's forecast flows come from the compiled game's rows
         sig = Signal(pi=[[0.5, 0.0]], nu=0.5)
-        assert forecast_flows(sig, SWAP, 0.25, 0) == pytest.approx([0.375, 0.125], abs=1e-15)
+        game = CompiledGame.of(GameConfig(
+            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]]]),
+            prior=Prior([1.0]), signal=sig, disobedience=SWAP))
+        assert p_flows(sig, SWAP, 0.25, 0) == pytest.approx([0.375, 0.125], abs=1e-15)
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = float(rng.uniform(0, 1))
             assert np.array_equal(p_flows(sig, SWAP, theta, 0),
-                                  forecast_flows(sig, SWAP, theta, 0))
+                                  flows(game.pi[0], game.shift[0], theta))
 
     def test_forecast_zero_is_recommendation(self):
         sig = Signal(pi=[[0.5, 0.0]], nu=0.5)
-        assert np.array_equal(forecast_flows(sig, SWAP, 0.0, 0), sig.pi[0])
+        assert np.array_equal(p_flows(sig, SWAP, 0.0, 0), sig.pi[0])
 
     @given(st.integers(0, 2**32), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
