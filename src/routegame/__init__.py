@@ -9,8 +9,8 @@ from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expect
                           lipschitz_estimate, potential, project_simplex, solve_bwe, verify_vi)
 from .errors import ConfigurationError, SolverError, UnidentifiableError
 from .estimators import (BetaSchedule, LuenbergerSpec, LuenbergerState, SmoothingSpec,
-                         SmoothingState, delta_tilde, e_theta_envelope, envelope_series,
-                         luenberger_update, smoothing_update)
+                         SmoothingState, delta_tilde, envelope_series, luenberger_update,
+                         smoothing_update)
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
                     eval_latency, m_max_default, p_flows)
 
@@ -19,9 +19,8 @@ __all__ = [
     "LatencyModel", "LuenbergerSpec", "LuenbergerState", "ObedienceReport", "Prior", "Scenario",
     "Signal", "SimulationState", "SmoothingSpec", "SmoothingState", "SolverError",
     "TrajectoryRecord", "UnidentifiableError", "calibration_score", "check_obedience",
-    "delta_tilde", "e_theta_envelope", "envelope_series", "eval_latency", "expected_latency",
-    "initial_state", "instantaneous_regret", "lipschitz_estimate", "luenberger_update",
-    "m_max_default", "p_flows", "potential", "project_simplex", "recover_theta",
-    "regret_update", "simulate", "smoothing_update", "solve_bwe", "step", "theta_of_m",
-    "verify_vi", "write_trajectory_csv",
+    "delta_tilde", "envelope_series", "eval_latency", "expected_latency", "initial_state",
+    "instantaneous_regret", "lipschitz_estimate", "luenberger_update", "m_max_default",
+    "p_flows", "potential", "project_simplex", "recover_theta", "regret_update", "simulate",
+    "smoothing_update", "solve_bwe", "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
 ]

@@ -1,8 +1,10 @@
 """Config loading, command dispatch, and report/trajectory export.
 
-The config file is a single YAML document whose keys mirror the run config;
-flags override file fields, and the fully resolved config is dumped next to
-the outputs so every run is reproducible from its artifacts alone.
+The config file is a single YAML document whose keys mirror the run config.
+``simulate`` writes its flags into the file's settings under the same keys and
+then validates the result once, so a flag is checked exactly as the file value
+it replaces.  The fully resolved config is dumped next to the outputs so every
+run is reproducible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .dynamics import simulate, write_trajectory_csv
 from .equilibrium import check_obedience
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SignalRowError, SolverError
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal)
 
@@ -83,33 +84,22 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     for key in ("states", "coeffs", "prior", "nu", "signal"):
         if key not in raw:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
-    states = [str(s) for s in raw["states"]]
-    coeffs = np.asarray(raw["coeffs"], dtype=float)
-    if coeffs.ndim != 3:
-        raise ConfigurationError(f"{path}: coeffs must be nested as [degree][state][link]")
-    if "links" in raw and int(raw["links"]) != coeffs.shape[2]:
-        raise ConfigurationError(
-            f"{path}: links={raw['links']} but coeffs describe {coeffs.shape[2]} links")
-    if "degree" in raw and int(raw["degree"]) != coeffs.shape[0] - 1:
-        raise ConfigurationError(
-            f"{path}: degree={raw['degree']} but coeffs describe degree {coeffs.shape[0] - 1}")
-    latency = LatencyModel(states=tuple(states), coeffs=coeffs,
+    latency = LatencyModel(states=tuple(raw["states"]), coeffs=raw["coeffs"],
                            require_strict_increase=bool(raw.get("strict_increase", False)))
-
-    nu = float(raw["nu"])
-    pi = np.asarray(raw["signal"], dtype=float)
-    if pi.shape != (latency.num_states, latency.n):
+    if "links" in raw and int(raw["links"]) != latency.n:
         raise ConfigurationError(
-            f"{path}: signal shape {pi.shape} does not match ({latency.num_states}, {latency.n})")
-    sums = pi.sum(axis=1)
-    for w, total in enumerate(sums):
-        if abs(total - nu) > 1e-12:
-            raise ConfigurationError(
-                f"{path}: signal row {states[w]} sums to {float(total)!r}, expected nu={nu!r}")
-    signal = Signal(pi=pi, nu=nu)
+            f"{path}: links={raw['links']} but coeffs describe {latency.n} links")
+    if "degree" in raw and int(raw["degree"]) != latency.degree:
+        raise ConfigurationError(
+            f"{path}: degree={raw['degree']} but coeffs describe degree {latency.degree}")
+    try:
+        signal = Signal(pi=raw["signal"], nu=float(raw["nu"]))
+    except SignalRowError as exc:  # name the row by its state
+        label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
+        raise SignalRowError(label, exc.total, exc.nu) from None
 
     if "disobedience" in raw:
-        disobedience = DisobedienceMatrix(np.asarray(raw["disobedience"], dtype=float))
+        disobedience = DisobedienceMatrix(raw["disobedience"])
     else:
         disobedience = DisobedienceMatrix.default(latency.n)
 
@@ -125,7 +115,7 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
 
     return GameConfig(
         latency=latency,
-        prior=Prior(np.asarray(raw["prior"], dtype=float)),
+        prior=Prior(raw["prior"]),
         signal=signal,
         disobedience=disobedience,
         m_max=float(raw["m_max"]) if "m_max" in raw else None,
@@ -198,16 +188,11 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.rounds is not None:
-        config = replace(config, rounds=args.rounds)
-    if args.scenario is not None:
-        config = replace(config, scenario=_parse_scenario(args.scenario))
-    if args.estimator is not None:
-        estimator = _parse_estimator(args.estimator, config.latency.n)
-        if isinstance(estimator, SmoothingSpec) and isinstance(config.estimator, SmoothingSpec):
-            estimator = config.estimator
-        config = replace(config, estimator=estimator)
+    raw = _parse_file(args.config)
+    for key in ("rounds", "scenario", "estimator"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    config = _build_config(raw, str(args.config))
     seeds = args.seed if args.seed else [config.seed]
 
     out_dir = _out_dir(args)
@@ -218,7 +203,7 @@ def cmd_simulate(args) -> int:
 
     runs = []
     for idx, seed in enumerate(seeds):
-        run_config = replace(config, seed=seed)
+        run_config = config if seed == config.seed else replace(config, seed=seed)
         started = time.perf_counter()
         trajectory = simulate(run_config)
         csv_path = out_dir / f"run{idx:03d}_seed{seed}.csv"

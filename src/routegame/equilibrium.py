@@ -161,23 +161,21 @@ def _vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
     return float(mass * grad.min() - grad @ y)
 
 
-def verify_vi(config: GameConfig, theta: float, y: np.ndarray, *,
-              mass: float | None = None) -> float:
+def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
     """Worst variational-inequality slack of y over the simplex vertices.
 
     The slack is linear in the comparison point, so the vertex minimum equals
     the minimum over the whole simplex; a value >= -tol certifies y.
     """
     y = np.asarray(y, dtype=float)
-    if mass is None:
-        mass = 1.0 - config.signal.nu
+    mass = 1.0 - config.signal.nu
     if np.any(y < -OUTPUT_TOL) or abs(float(y.sum()) - mass) > OUTPUT_TOL:
         raise ConfigurationError(f"y is not on the simplex of mass {mass}")
     return _vi_margin(expected_latency(config, theta, np.maximum(y, 0.0)), y, mass)
 
 
 def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
-                  start: np.ndarray | None = None, max_iter: int = MAX_ITER):
+                  start: np.ndarray | None = None):
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
     Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
@@ -195,7 +193,7 @@ def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: 
     tol = game.solver_tol
     phi = t_init = None
     margin = 0.0
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -tol:
@@ -218,12 +216,12 @@ def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: 
             raise SolverError("iterate stopped moving before reaching the VI certificate",
                               last_iterate=y, vi_margin=margin, iterations=it)
         y, phi = y_new, phi_new
-    raise SolverError(f"no VI certificate after {max_iter} iterations",
-                      last_iterate=y, vi_margin=margin, iterations=max_iter)
+    raise SolverError(f"no VI certificate after {MAX_ITER} iterations",
+                      last_iterate=y, vi_margin=margin, iterations=MAX_ITER)
 
 
-def solve_bwe(config: GameConfig, theta: float, *, start: np.ndarray | None = None,
-              max_iter: int = MAX_ITER) -> BestResponse:
+def solve_bwe(config: GameConfig, theta: float, *,
+              start: np.ndarray | None = None) -> BestResponse:
     """Best response of the non-participating mass 1 - nu to the forecast theta.
 
     Deterministic projected gradient descent with halving Armijo line search,
@@ -235,7 +233,7 @@ def solve_bwe(config: GameConfig, theta: float, *, start: np.ndarray | None = No
         return BestResponse(y=np.zeros(config.latency.n), theta=theta, potential_value=0.0,
                             vi_margin=0.0, iterations=0)
     game = CompiledGame.of(config)
-    y, coeffs, margin, it = best_response(game, game.pi, game.shift, theta, start, max_iter)
+    y, coeffs, margin, it = best_response(game, game.pi, game.shift, theta, start)
     return BestResponse(y=y, theta=theta, potential_value=_potential_from_coeffs(coeffs, y),
                         vi_margin=margin, iterations=it)
 

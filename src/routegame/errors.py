@@ -9,6 +9,17 @@ class ConfigurationError(ValueError):
     """An input, model object, or config violates one of its invariants."""
 
 
+class SignalRowError(ConfigurationError):
+    """A recommendation row does not sum to the participating fraction nu.
+
+    ``row`` names the row: its index, or its state label where one is known.
+    """
+
+    def __init__(self, row, total: float, nu: float) -> None:
+        super().__init__(f"signal row {row} sums to {total!r}, expected nu={nu!r}")
+        self.row, self.total, self.nu = row, total, nu
+
+
 class SolverError(RuntimeError):
     """Best-response solver failed to converge.
 

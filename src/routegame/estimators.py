@@ -105,10 +105,7 @@ def smoothing_update(state: SmoothingState, theta_observed: float, k: int) -> Sm
     """
     if not 0.0 <= theta_observed <= 1.0:
         raise ConfigurationError(f"observed disobedience fraction {theta_observed} outside [0, 1]")
-    beta = state.schedule.at(k + 1)
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError(f"smoothing weight {beta} outside (0, 1)")
-    return smooth(state, theta_observed, beta)
+    return smooth(state, theta_observed, state.schedule.at(k + 1))
 
 
 def observe(state: LuenbergerState, u: float, gain: np.ndarray, ell: np.ndarray,
@@ -136,23 +133,6 @@ def delta_tilde(k: int, beta_min: float) -> float:
         return 0.0
     t = np.arange(2, k + 1, dtype=float)
     return float(np.sum((1.0 - beta_min) ** (k - t) / t))
-
-
-def e_theta_envelope(k: int, e1: float, beta_min: float,
-                     beta_schedule: BetaSchedule) -> tuple[float, float]:
-    """Bracket for the forecast error at round k given its initial value.
-
-    The center is the product of (1 - beta(t)) over t = 2..k applied to e1; the
-    width is twice the harmonic drift term, which uses beta_min only.
-    """
-    if k < 2:
-        raise ConfigurationError(f"envelope defined for k >= 2, got {k}")
-    prod = 1.0
-    for t in range(2, k + 1):
-        prod *= 1.0 - beta_schedule.at(t)
-    center = prod * e1
-    width = 2.0 * delta_tilde(k, beta_min)
-    return center - width, center + width
 
 
 def envelope_series(num_rounds: int, e1: float, beta_min: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SignalRowError
 from .estimators import LuenbergerSpec, SmoothingSpec
 
 logger = logging.getLogger(__name__)
@@ -147,8 +147,7 @@ class Signal:
         bad = np.nonzero(np.abs(sums - self.nu) > INPUT_TOL)[0]
         if bad.size:
             w = int(bad[0])
-            raise ConfigurationError(
-                f"signal row {w} sums to {float(sums[w])!r}, expected nu={self.nu!r}")
+            raise SignalRowError(w, float(sums[w]), self.nu)
 
     def with_mass(self, target: float) -> "Signal":
         """Proportionally rescale every row to the given mass."""
@@ -270,6 +269,10 @@ class GameConfig:
         if self.disobedience.n != lat.n:
             raise ConfigurationError(
                 f"disobedience matrix is {self.disobedience.n}x{self.disobedience.n} for {lat.n} links")
+        if self.scenario.kind == "dynamic_nu" and self.signal.nu == 0.0:
+            raise ConfigurationError(
+                "the dynamic_nu scenario needs nu > 0: it rescales the signal to each round's "
+                "disobedience fraction, and a signal of nu = 0 has no mass to rescale")
         default_cap = m_max_default(lat)
         m_max = default_cap if self.m_max is None else float(self.m_max)
         if m_max <= 0:

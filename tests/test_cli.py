@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from routegame import ConfigurationError, LuenbergerSpec, Scenario
+from routegame import ConfigurationError, GameConfig, LuenbergerSpec, Scenario
 from routegame.cli import (config_digest, config_to_dict, load_config, main)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -243,6 +244,52 @@ class TestSimulateCommand:
                    "--out", str(flagged)])
         assert rc == 0
         assert forced.exists() and not flagged.exists()
+
+    def test_smoothing_flag_keeps_file_beta(self, tmp_path):
+        path = write_config(tmp_path, estimator={"luenberger": 0.0}, beta=0.6)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--rounds", "5",
+                   "--estimator", "smoothing", "--out", str(out)])
+        assert rc == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+        assert resolved["estimator"] == "smoothing"
+        assert resolved["beta"] == 0.6
+
+    def test_rounds_flag_checked_against_beta_schedule(self, tmp_path):
+        path = write_config(tmp_path, beta_schedule=[0.4, 0.5, 0.6, 0.5, 0.4])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--rounds", "4",
+                     "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(path), "--rounds", "6",
+                     "--out", str(out)]) == 1
+
+    def test_observer_warning_logged_once(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="routegame.model"):
+            rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "5",
+                       "--estimator", "luenberger=0.01", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert sum("stability unanalyzed" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("flags, builds", [
+        (["--rounds", "5"], 1),
+        (["--rounds", "5", "--estimator", "luenberger=0.01"], 1),
+        (["--rounds", "5", "--estimator", "luenberger=0.01", "--scenario", "dynamic-nu",
+          "--seed", "1", "--seed", "2"], 3),
+        (["--rounds", "5", "--seed", "0", "--seed", "0"], 1),
+    ])
+    def test_one_config_build_per_distinct_seed(self, tmp_path, monkeypatch, flags, builds):
+        calls = []
+        validate = GameConfig.__post_init__
+
+        def counted(config):
+            calls.append(config.seed)
+            validate(config)
+
+        monkeypatch.setattr(GameConfig, "__post_init__", counted)
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(calls) == builds
 
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),

@@ -4,10 +4,27 @@ import numpy as np
 import pytest
 
 from routegame import (BetaSchedule, ConfigurationError, LuenbergerState, SmoothingState,
-                       delta_tilde, e_theta_envelope, envelope_series, luenberger_update,
-                       simulate, smoothing_update, theta_of_m)
+                       delta_tilde, envelope_series, luenberger_update, simulate,
+                       smoothing_update, theta_of_m)
 
 from conftest import benchmark_config
+
+
+def e_theta_envelope(k: int, e1: float, beta_min: float,
+                     beta_schedule: BetaSchedule) -> tuple[float, float]:
+    """Bracket for the forecast error at round k, by its pointwise definition.
+
+    The reference that ``envelope_series`` is checked against.  The center is the product of (1 - beta(t)) over t = 2..k applied to e1; the
+    width is twice the harmonic drift term, which uses beta_min only.
+    """
+    if k < 2:
+        raise ConfigurationError(f"envelope defined for k >= 2, got {k}")
+    prod = 1.0
+    for t in range(2, k + 1):
+        prod *= 1.0 - beta_schedule.at(t)
+    center = prod * e1
+    width = 2.0 * delta_tilde(k, beta_min)
+    return center - width, center + width
 
 
 class TestBetaSchedule:

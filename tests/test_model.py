@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
-                       Signal, eval_latency, instantaneous_regret, m_max_default, p_flows)
+                       Scenario, Signal, eval_latency, instantaneous_regret, m_max_default,
+                       p_flows)
 from routegame.model import CompiledGame, flows
 
 from conftest import affine_latency
@@ -209,6 +210,12 @@ class TestValidation:
         with caplog.at_level(logging.WARNING, logger="routegame.model"):
             benchmark_config(m_max=10.0, m_init=0.0, allow_small_m_max=True)
         assert any("m_max" in rec.message for rec in caplog.records)
+
+    def test_zero_nu_rejected_with_dynamic_nu(self):
+        from conftest import benchmark_config
+        with pytest.raises(ConfigurationError, match=r"dynamic_nu.*nu = 0"):
+            benchmark_config(nu=0.0, scenario=Scenario.dynamic_nu(), rounds=5)
+        benchmark_config(nu=0.0, rounds=5)
 
     def test_types_are_frozen(self):
         model = affine_latency()
