@@ -36,11 +36,18 @@ _KNOWN_KEYS = {
     "strict_increase",
 }
 
+# libyaml's loader and dumper when PyYAML was built with it; they read and
+# write the same documents as the pure-Python classes, several times faster.
+if yaml.__with_libyaml__:
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
 
 def _parse_file(path) -> dict:
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            raw = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from exc
     if not isinstance(raw, dict):
@@ -199,7 +206,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved_path = out_dir / "resolved_config.yaml"
     with open(resolved_path, "w") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
+        yaml.dump(config_to_dict(config), fh, Dumper=_Dumper, sort_keys=False)
 
     runs = []
     for idx, seed in enumerate(seeds):

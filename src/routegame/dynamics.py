@@ -9,6 +9,8 @@ folds that score into the aggregate regret that drives the next round.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -237,6 +239,13 @@ def trajectory_columns(n: int, with_envelope: bool = False) -> list[str]:
     return cols
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it among the fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_trajectory_csv(path, trajectory: list[TrajectoryRecord], config: GameConfig,
                          with_envelope: bool = False) -> None:
     """One row per round, floats at 17 significant digits.
@@ -247,25 +256,22 @@ def write_trajectory_csv(path, trajectory: list[TrajectoryRecord], config: GameC
     if not trajectory:
         raise ConfigurationError("cannot export an empty trajectory")
     n = config.latency.n
-    lower = upper = None
+    bounds = itertools.repeat(())
     if with_envelope:
         if not isinstance(config.estimator, SmoothingSpec):
             raise ConfigurationError("envelope columns are defined for the smoothing estimator only")
-        lower, upper = envelope_series(len(trajectory), trajectory[0].e_theta,
-                                       config.beta_min, config.estimator.schedule)
+        bounds = zip(*envelope_series(len(trajectory), trajectory[0].e_theta,
+                                      config.beta_min, config.estimator.schedule))
 
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
+    # Each row is filled into one %-template; "%.17g" prints a float as
+    # format(v, ".17g") does.  The state labels are quoted once, by csv itself.
+    columns = trajectory_columns(n, with_envelope)
+    template = "%d,%s," + ",".join(["%.17g"] * (len(columns) - 2)) + "\r\n"
+    omega_cells = [_csv_cell(label) for label in config.latency.states]
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_columns(n, with_envelope))
-        for idx, r in enumerate(trajectory):
-            row = [str(r.k), config.latency.states[r.omega], fmt(r.theta), fmt(r.theta_hat),
-                   fmt(r.e_theta), fmt(r.u), fmt(r.m_next)]
-            for vec in (r.x, r.x_hat, r.y, r.ell):
-                row += [fmt(v) for v in vec]
-            row.append(fmt(r.flow_gap))
-            if with_envelope:
-                row += [fmt(lower[idx]), fmt(upper[idx])]
-            writer.writerow(row)
+        csv.writer(fh).writerow(columns)
+        for r, bound in zip(trajectory, bounds):
+            fh.write(template % (r.k, omega_cells[r.omega], r.theta, r.theta_hat, r.e_theta, r.u,
+                                 r.m_next, *r.x.tolist(), *r.x_hat.tolist(), *r.y.tolist(),
+                                 *r.ell.tolist(), r.flow_gap, *bound))

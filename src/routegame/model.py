@@ -32,8 +32,11 @@ INPUT_TOL = 1e-12   # simplex tolerance for validated inputs
 OUTPUT_TOL = 1e-10  # simplex tolerance for computed flows
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
+def _readonly(a, name: str) -> np.ndarray:
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged nesting or a non-numeric entry
+        raise ConfigurationError(f"{name} must be a rectangular array of numbers: {exc}") from None
     arr.setflags(write=False)
     return arr
 
@@ -60,7 +63,7 @@ class LatencyModel:
     require_strict_increase: bool = False
 
     def __post_init__(self) -> None:
-        coeffs = _readonly(self.coeffs)
+        coeffs = _readonly(self.coeffs, "latency coefficients")
         if coeffs.ndim != 3:
             raise ConfigurationError(
                 f"latency coefficients must be a (degree+1, states, links) tensor, got shape {coeffs.shape}")
@@ -112,7 +115,7 @@ class Prior:
     mu0: np.ndarray
 
     def __post_init__(self) -> None:
-        mu0 = _readonly(self.mu0)
+        mu0 = _readonly(self.mu0, "prior")
         object.__setattr__(self, "mu0", mu0)
         if mu0.ndim != 1 or mu0.size < 1:
             raise ConfigurationError("prior must be a nonempty vector")
@@ -136,7 +139,7 @@ class Signal:
     nu: float
 
     def __post_init__(self) -> None:
-        pi = _readonly(self.pi)
+        pi = _readonly(self.pi, "signal")
         object.__setattr__(self, "pi", pi)
         _check_unit_interval(self.nu, "participation fraction nu")
         if pi.ndim != 2:
@@ -172,7 +175,7 @@ class DisobedienceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _readonly(self.matrix)
+        m = _readonly(self.matrix, "disobedience matrix")
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"disobedience matrix must be square, got shape {m.shape}")

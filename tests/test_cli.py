@@ -3,14 +3,17 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from routegame import ConfigurationError, GameConfig, LuenbergerSpec, Scenario
+from routegame import ConfigurationError, GameConfig, LuenbergerSpec, Scenario, cli
 from routegame.cli import (config_digest, config_to_dict, load_config, main)
+
+from test_golden import cubic_config
 
 REPO = Path(__file__).resolve().parent.parent
 PAPER_CONFIG = REPO / "configs" / "paper_affine.yaml"
@@ -120,6 +123,34 @@ class TestLoadConfig:
         path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=3)
         cfg = load_config(path)
         assert cfg.estimator.schedule.values == (0.4, 0.5, 0.6)
+
+
+def parity_config(name: str, tmp_path: Path) -> Path:
+    """A shipped config, or a generated n = 32 cubic file in flow style."""
+    if name != "cubic_n32":
+        return REPO / "configs" / f"{name}.yaml"
+    target = tmp_path / "cubic_n32.yaml"
+    target.write_text(yaml.safe_dump(config_to_dict(cubic_config(n=32)),
+                                     default_flow_style=None, sort_keys=False))
+    return target
+
+
+@pytest.mark.parametrize("name", ["paper_affine", "paper_affine_nu1", "cubic_n32"])
+class TestYamlParity:
+    def test_loader_matches_pure_python(self, name, tmp_path, monkeypatch):
+        assert cli._Loader is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        path = parity_config(name, tmp_path)
+        selected = config_digest(load_config(path))
+        monkeypatch.setattr(cli, "_Loader", yaml.SafeLoader)
+        assert config_digest(load_config(path)) == selected
+
+    def test_resolved_dump_matches_safe_dump(self, name, tmp_path):
+        path = parity_config(name, tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--rounds", "1", "--out", str(out)]) == 0
+        expected = yaml.safe_dump(config_to_dict(replace(load_config(path), rounds=1)),
+                                  sort_keys=False)
+        assert (out / "resolved_config.yaml").read_text() == expected
 
 
 class TestDigest:
@@ -333,6 +364,15 @@ class TestCheckObedienceCommand:
         assert report["obedient"] is True
         assert report["y0"]["y"] == pytest.approx([0.5, 0.0], abs=1e-8)
         assert len(report["obedience_slacks"]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("coeffs", [[[5, 25], [20]], [[4, 2], [1, 2]]], "error: latency coefficients must be"),
+        ("signal", [[0.5, "x"], [0.0, 0.5]], "error: signal must be"),
+    ])
+    def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
+        rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import replace
 
@@ -10,9 +11,12 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, TrajectoryRecord,
                        UnidentifiableError, calibration_score, initial_state,
                        instantaneous_regret, p_flows, recover_theta, regret_update, simulate,
-                       step, theta_of_m)
+                       step, theta_of_m, write_trajectory_csv)
+from routegame.dynamics import trajectory_columns
+from routegame.estimators import envelope_series
 
-from conftest import benchmark_config, random_affine_config
+from conftest import AFFINE_COEFFS, benchmark_config, random_affine_config
+from test_golden import cubic_config
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -304,3 +308,52 @@ class TestCalibration:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ConfigurationError):
             calibration_score([])
+
+
+def reference_trajectory_csv(path, trajectory, config, with_envelope=False) -> None:
+    """Reference writer: every value through ``format(v, ".17g")``, every row through csv."""
+    lower = upper = None
+    if with_envelope:
+        lower, upper = envelope_series(len(trajectory), trajectory[0].e_theta,
+                                       config.beta_min, config.estimator.schedule)
+
+    def fmt(v: float) -> str:
+        return format(float(v), ".17g")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trajectory_columns(config.latency.n, with_envelope))
+        for idx, r in enumerate(trajectory):
+            row = [str(r.k), config.latency.states[r.omega], fmt(r.theta), fmt(r.theta_hat),
+                   fmt(r.e_theta), fmt(r.u), fmt(r.m_next)]
+            for vec in (r.x, r.x_hat, r.y, r.ell):
+                row += [fmt(v) for v in vec]
+            row.append(fmt(r.flow_gap))
+            if with_envelope:
+                row += [fmt(lower[idx]), fmt(upper[idx])]
+            writer.writerow(row)
+
+
+def labelled_config(states: tuple[str, str], **overrides) -> GameConfig:
+    return benchmark_config(latency=LatencyModel(states=states, coeffs=AFFINE_COEFFS),
+                            **overrides)
+
+
+CSV_CASES = {
+    "quoted_labels": lambda: labelled_config(("a,b", 'q"t'), rounds=60, seed=2),
+    "empty_and_spaced_labels": lambda: labelled_config(("", " s "), rounds=60, seed=3),
+    "line_break_label": lambda: labelled_config(("line\nbreak", "plain"), rounds=60, seed=4),
+    "cubic_n8": lambda: replace(cubic_config(), rounds=60),
+    "one_row": lambda: benchmark_config(rounds=1),
+}
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("envelope", [False, True])
+    @pytest.mark.parametrize("name", sorted(CSV_CASES))
+    def test_bytes_match_reference_writer(self, name, envelope, tmp_path):
+        config = CSV_CASES[name]()
+        trajectory = simulate(config)
+        write_trajectory_csv(tmp_path / "new.csv", trajectory, config, with_envelope=envelope)
+        reference_trajectory_csv(tmp_path / "ref.csv", trajectory, config, with_envelope=envelope)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
