@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .dynamics import (SimulationState, TrajectoryRecord, calibration_score, initial_state,
-                       instantaneous_regret, recover_theta, regret_update, simulate, step,
-                       theta_of_m, write_trajectory_csv)
+from .dynamics import (SimulationState, Trajectory, TrajectoryRecord, calibration_score,
+                       initial_state, instantaneous_regret, recover_theta, regret_update,
+                       simulate, step, theta_of_m, write_trajectory_csv)
 from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expected_latency,
                           lipschitz_estimate, potential, project_simplex, solve_bwe, verify_vi)
 from .errors import ConfigurationError, SolverError, UnidentifiableError
@@ -18,7 +18,7 @@ __all__ = [
     "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
     "LatencyModel", "LuenbergerSpec", "LuenbergerState", "ObedienceReport", "Prior", "Scenario",
     "Signal", "SimulationState", "SmoothingSpec", "SmoothingState", "SolverError",
-    "TrajectoryRecord", "UnidentifiableError", "calibration_score", "check_obedience",
+    "Trajectory", "TrajectoryRecord", "UnidentifiableError", "calibration_score", "check_obedience",
     "delta_tilde", "envelope_series", "eval_latency", "expected_latency", "initial_state",
     "instantaneous_regret", "lipschitz_estimate", "luenberger_update", "m_max_default",
     "p_flows", "potential", "project_simplex", "recover_theta", "regret_update", "simulate",

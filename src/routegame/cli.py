@@ -58,6 +58,15 @@ def _parse_file(path) -> dict:
     return raw
 
 
+def _convert(kind, value, name: str):
+    """``kind(value)``; a value that does not convert is a ConfigurationError naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {noun}, got {value!r}") from None
+
+
 def _parse_scenario(value) -> Scenario:
     if isinstance(value, str):
         name = value.replace("-", "_")
@@ -66,10 +75,10 @@ def _parse_scenario(value) -> Scenario:
         if name == "dynamic_nu":
             return Scenario.dynamic_nu()
         if name.startswith("discounted="):
-            return Scenario.discounted(float(name.split("=", 1)[1]))
+            return Scenario.discounted(_convert(float, name.split("=", 1)[1], "scenario discount"))
         raise ConfigurationError(f"unknown scenario {value!r}")
     if isinstance(value, dict) and list(value) == ["discounted"]:
-        return Scenario.discounted(float(value["discounted"]))
+        return Scenario.discounted(_convert(float, value["discounted"], "scenario discount"))
     raise ConfigurationError(f"unknown scenario {value!r}")
 
 
@@ -78,12 +87,14 @@ def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
         return SmoothingSpec()
     if isinstance(value, str) and value.startswith("luenberger"):
         _, _, gain = value.partition("=")
-        return LuenbergerSpec.from_scalar(float(gain) if gain else 0.0, n)
+        return LuenbergerSpec.from_scalar(_convert(float, gain or 0.0, "estimator gain"), n)
     if isinstance(value, dict) and list(value) == ["luenberger"]:
         gain = value["luenberger"]
         if isinstance(gain, (int, float)):
             return LuenbergerSpec.from_scalar(float(gain), n)
-        return LuenbergerSpec(gain=tuple(float(g) for g in gain))
+        if not isinstance(gain, (list, tuple)):
+            raise ConfigurationError(f"estimator gain must be a number or a list, got {gain!r}")
+        return LuenbergerSpec(gain=tuple(_convert(float, g, "estimator gain") for g in gain))
     raise ConfigurationError(f"unknown estimator {value!r}")
 
 
@@ -91,16 +102,22 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     for key in ("states", "coeffs", "prior", "nu", "signal"):
         if key not in raw:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
+
+    def number(key: str, default, kind=float):
+        return _convert(kind, raw.get(key, default), f"{path}: {key}")
+
+    if not isinstance(raw["states"], (list, tuple)):
+        raise ConfigurationError(f"{path}: states must be a list of labels, got {raw['states']!r}")
     latency = LatencyModel(states=tuple(raw["states"]), coeffs=raw["coeffs"],
                            require_strict_increase=bool(raw.get("strict_increase", False)))
-    if "links" in raw and int(raw["links"]) != latency.n:
+    if "links" in raw and number("links", None, int) != latency.n:
         raise ConfigurationError(
             f"{path}: links={raw['links']} but coeffs describe {latency.n} links")
-    if "degree" in raw and int(raw["degree"]) != latency.degree:
+    if "degree" in raw and number("degree", None, int) != latency.degree:
         raise ConfigurationError(
             f"{path}: degree={raw['degree']} but coeffs describe degree {latency.degree}")
     try:
-        signal = Signal(pi=raw["signal"], nu=float(raw["nu"]))
+        signal = Signal(pi=raw["signal"], nu=number("nu", None))
     except SignalRowError as exc:  # name the row by its state
         label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
         raise SignalRowError(label, exc.total, exc.nu) from None
@@ -115,7 +132,7 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
             raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
         schedule = BetaSchedule.from_sequence(raw["beta_schedule"])
     else:
-        schedule = BetaSchedule.constant(float(raw.get("beta", 0.5)))
+        schedule = BetaSchedule.constant(number("beta", 0.5))
     estimator = _parse_estimator(raw.get("estimator", "smoothing"), latency.n)
     if isinstance(estimator, SmoothingSpec):
         estimator = SmoothingSpec(schedule=schedule)
@@ -125,16 +142,16 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
         prior=Prior(raw["prior"]),
         signal=signal,
         disobedience=disobedience,
-        m_max=float(raw["m_max"]) if "m_max" in raw else None,
-        m_init=float(raw.get("m_init", 0.0)),
-        theta_hat_init=float(raw.get("theta_hat_init", 0.0)),
-        beta_min=float(raw.get("beta_min", 0.3)),
-        beta_max=float(raw.get("beta_max", 0.7)),
+        m_max=number("m_max", None) if "m_max" in raw else None,
+        m_init=number("m_init", 0.0),
+        theta_hat_init=number("theta_hat_init", 0.0),
+        beta_min=number("beta_min", 0.3),
+        beta_max=number("beta_max", 0.7),
         scenario=_parse_scenario(raw.get("scenario", "baseline")),
         estimator=estimator,
-        solver_tol=float(raw.get("solver_tol", 1e-8)),
-        rounds=int(raw.get("rounds", 5000)),
-        seed=int(raw.get("seed", 0)),
+        solver_tol=number("solver_tol", 1e-8),
+        rounds=number("rounds", 5000, int),
+        seed=number("seed", 0, int),
         allow_small_m_max=bool(raw.get("allow_small_m_max", False)),
     )
 

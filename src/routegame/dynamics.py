@@ -4,16 +4,23 @@ Each round samples a network state, realizes participating flows from the
 current disobedience fraction, lets the non-participating mass best-respond to
 its forecast, scores the recommendations against the realized latencies, and
 folds that score into the aggregate regret that drives the next round.
+
+:func:`step` is the one round; it returns a :class:`TrajectoryRecord`.
+:func:`simulate` runs it with each round written into row ``k - 1`` of the
+preallocated columns of a :class:`Trajectory`, one array per CSV column, so a
+run holds 8 * (6 + 4n) bytes per round.  Indexing a ``Trajectory`` gives the
+round's record again, as views of the column rows; the CSV export and the
+calibration score read the columns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .model import (CompiledGame, GameConfig, Scenario, Signal, flows, poly_rows
 logger = logging.getLogger(__name__)
 
 _COEFF_TOL = 1e-12  # below this, flows carry no disobedience information
+_BLOCK_CELLS = 1024  # CSV cells converted to text per block of rows
 
 
 @dataclass
@@ -47,8 +55,7 @@ class SimulationState:
     game: CompiledGame | None = None  # the config's compiled game, from round 1 on
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Everything observable about one round."""
 
     k: int
@@ -63,6 +70,55 @@ class TrajectoryRecord:
     m_next: float
     e_theta: float
     flow_gap: float
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A run as columns: row i of each array holds round ``rounds[i]``.
+
+    ``omega`` is an intp array, the other columns float64; ``x``, ``x_hat``,
+    ``y`` and ``ell`` have one column per link.  ``k`` and ``e_theta`` are
+    derived.  ``len``, iteration and integer indexing give each round as a
+    :class:`TrajectoryRecord` of Python scalars and row views; a slice gives a
+    ``Trajectory`` of the column slices.
+    """
+
+    rounds: range
+    omega: np.ndarray
+    theta: np.ndarray
+    theta_hat: np.ndarray
+    u: np.ndarray
+    m_next: np.ndarray
+    flow_gap: np.ndarray
+    x: np.ndarray
+    x_hat: np.ndarray
+    y: np.ndarray
+    ell: np.ndarray
+
+    @property
+    def k(self) -> np.ndarray:
+        return np.arange(self.rounds.start, self.rounds.stop, self.rounds.step)
+
+    @property
+    def e_theta(self) -> np.ndarray:
+        """The same IEEE subtraction as each record's ``theta - theta_hat``."""
+        return self.theta - self.theta_hat
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # a range slices as numpy's basic slicing does
+            return Trajectory(*(getattr(self, f.name)[i] for f in fields(self)))
+        theta, theta_hat = float(self.theta[i]), float(self.theta_hat[i])
+        return TrajectoryRecord(
+            k=self.rounds[i], omega=int(self.omega[i]), theta=theta, theta_hat=theta_hat,
+            x=self.x[i], x_hat=self.x_hat[i], y=self.y[i], ell=self.ell[i],
+            u=float(self.u[i]), m_next=float(self.m_next[i]), e_theta=theta - theta_hat,
+            flow_gap=float(self.flow_gap[i]))
 
 
 def payoff_gap(pi_w: np.ndarray, matrix: np.ndarray, ell: np.ndarray) -> float:
@@ -144,12 +200,15 @@ def _sample_state(rng: np.random.Generator, cum_prior: tuple[float, ...]) -> int
     return min(idx, len(cum_prior) - 1)  # the cumulative sum can round a hair below 1
 
 
-def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, TrajectoryRecord]:
+def step(config: GameConfig, state: SimulationState,
+         into: Trajectory | None = None) -> tuple[SimulationState, TrajectoryRecord]:
     """Advance the game by one round.
 
     Runs the kernels on the config's compiled game and revalidates nothing:
     the config was validated when it was built, and every value here derives
     from it.  The first round compiles the game; the state carries it on.
+    With ``into``, the round's record is also written into row ``k - 1`` of
+    its columns, which is how :func:`simulate` fills a run.
     """
     game = CompiledGame.of(config) if state.game is None else state.game
     k = state.k
@@ -199,6 +258,10 @@ def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, T
         e_theta=theta - state.theta_hat,
         flow_gap=float(np.abs(x - pi_w).max()),
     )
+    if into is not None:
+        i = k - 1
+        (_, into.omega[i], into.theta[i], into.theta_hat[i], into.x[i], into.x_hat[i], into.y[i],
+         into.ell[i], into.u[i], into.m_next[i], _, into.flow_gap[i]) = record
     next_state = SimulationState(
         k=k + 1,
         m=m_next,
@@ -212,21 +275,29 @@ def step(config: GameConfig, state: SimulationState) -> tuple[SimulationState, T
     return next_state, record
 
 
-def simulate(config: GameConfig) -> list[TrajectoryRecord]:
-    """Run the configured number of rounds; bit-reproducible for a fixed seed."""
+def simulate(config: GameConfig) -> Trajectory:
+    """Run the configured number of rounds; bit-reproducible for a fixed seed.
+
+    Each round is written into its row of preallocated columns; the columns
+    are read-only once the run ends.
+    """
+    rounds, n = config.rounds, config.latency.n
+    trajectory = Trajectory(range(1, rounds + 1), np.empty(rounds, dtype=np.intp),
+                            *(np.empty(rounds) for _ in range(5)),
+                            *(np.empty((rounds, n)) for _ in range(4)))
     state = initial_state(config)
-    records: list[TrajectoryRecord] = []
-    for _ in range(config.rounds):
-        state, record = step(config, state)
-        records.append(record)
-    return records
+    for _ in range(rounds):
+        state = step(config, state, trajectory)[0]
+    for column in fields(trajectory)[1:]:
+        getattr(trajectory, column.name).flags.writeable = False
+    return trajectory
 
 
-def calibration_score(trajectory: list[TrajectoryRecord]) -> np.ndarray:
+def calibration_score(trajectory: Trajectory) -> np.ndarray:
     """Time-averaged absolute gap between realized and forecast participating flows."""
-    if not trajectory:
+    if not len(trajectory):
         raise ConfigurationError("calibration score needs a nonempty trajectory")
-    return np.mean([np.abs(r.x - r.x_hat) for r in trajectory], axis=0)
+    return np.mean(np.abs(trajectory.x - trajectory.x_hat), axis=0)
 
 
 def trajectory_columns(n: int, with_envelope: bool = False) -> list[str]:
@@ -246,32 +317,41 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def write_trajectory_csv(path, trajectory: list[TrajectoryRecord], config: GameConfig,
+def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
                          with_envelope: bool = False) -> None:
     """One row per round, floats at 17 significant digits.
 
     Envelope columns require the smoothing estimator; the bracket is rebuilt
     from the first round's forecast error and the configured weight schedule.
     """
-    if not trajectory:
+    if not len(trajectory):
         raise ConfigurationError("cannot export an empty trajectory")
     n = config.latency.n
-    bounds = itertools.repeat(())
+    bounds: tuple[np.ndarray, ...] = ()
     if with_envelope:
         if not isinstance(config.estimator, SmoothingSpec):
             raise ConfigurationError("envelope columns are defined for the smoothing estimator only")
-        bounds = zip(*envelope_series(len(trajectory), trajectory[0].e_theta,
-                                      config.beta_min, config.estimator.schedule))
+        bounds = envelope_series(len(trajectory), trajectory[0].e_theta, config.beta_min,
+                                 config.estimator.schedule)
 
-    # Each row is filled into one %-template; "%.17g" prints a float as
-    # format(v, ".17g") does.  The state labels are quoted once, by csv itself.
+    # Each block of rows is filled into its rows' %-templates at once; "%.17g"
+    # prints a float as format(v, ".17g") does.  The state labels are quoted
+    # once, by csv itself.  A block holds about _BLOCK_CELLS cells however wide
+    # the rows are, so the text in flight stays small.
     columns = trajectory_columns(n, with_envelope)
     template = "%d,%s," + ",".join(["%.17g"] * (len(columns) - 2)) + "\r\n"
-    omega_cells = [_csv_cell(label) for label in config.latency.states]
+    labels = np.array([_csv_cell(label) for label in config.latency.states], dtype=object)
+    rows_per_block = max(1, _BLOCK_CELLS // len(columns))
 
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(columns)
-        for r, bound in zip(trajectory, bounds):
-            fh.write(template % (r.k, omega_cells[r.omega], r.theta, r.theta_hat, r.e_theta, r.u,
-                                 r.m_next, *r.x.tolist(), *r.x_hat.tolist(), *r.y.tolist(),
-                                 *r.ell.tolist(), r.flow_gap, *bound))
+        for start in range(0, len(trajectory), rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            b = trajectory[rows]
+            cells = np.empty((len(b), len(columns)), dtype=object)
+            cells[:, 0] = b.rounds
+            cells[:, 1] = labels[b.omega]
+            cells[:, 2:] = np.column_stack((b.theta, b.theta_hat, b.e_theta, b.u, b.m_next, b.x,
+                                            b.x_hat, b.y, b.ell, b.flow_gap,
+                                            *(bound[rows] for bound in bounds)))
+            fh.write((template * len(b)) % tuple(cells.ravel().tolist()))

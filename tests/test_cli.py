@@ -374,6 +374,22 @@ class TestCheckObedienceCommand:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("nu", "half", "nu must be a number, got 'half'"),
+        ("rounds", "many", "rounds must be an integer, got 'many'"),
+        ("estimator", {"luenberger": ["a", 0]}, "estimator gain must be a number, got 'a'"),
+        ("m_init", [1], "m_init must be a number, got [1]"),
+        ("seed", [1], "seed must be an integer, got [1]"),
+        ("states", 5, "states must be a list of labels, got 5"),
+        ("estimator", "luenberger=a", "estimator gain must be a number, got 'a'"),
+        ("scenario", "discounted=a", "scenario discount must be a number, got 'a'"),
+    ])
+    def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
+        rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("not: [valid\n")

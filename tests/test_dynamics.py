@@ -2,21 +2,26 @@ from __future__ import annotations
 
 import csv
 import logging
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
-                       LuenbergerSpec, Prior, Scenario, Signal, SolverError, TrajectoryRecord,
-                       UnidentifiableError, calibration_score, initial_state,
+                       LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
+                       TrajectoryRecord, UnidentifiableError, calibration_score, initial_state,
                        instantaneous_regret, p_flows, recover_theta, regret_update, simulate,
                        step, theta_of_m, write_trajectory_csv)
+from routegame.cli import load_config
 from routegame.dynamics import trajectory_columns
 from routegame.estimators import envelope_series
 
 from conftest import AFFINE_COEFFS, benchmark_config, random_affine_config
-from test_golden import cubic_config
+from test_golden import SCENARIOS, case, cubic_config
+
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -292,22 +297,21 @@ class TestCalibration:
     def test_constant_error_two_links(self):
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
         c = 0.12
-        records = []
         rng = np.random.default_rng(3)
-        for k in range(1, 40):
-            theta = float(rng.uniform(c, 1.0))
-            theta_hat = theta - c
-            x = p_flows(sig, SWAP, theta, 0)
-            x_hat = p_flows(sig, SWAP, theta_hat, 0)
-            records.append(TrajectoryRecord(
-                k=k, omega=0, theta=theta, theta_hat=theta_hat, x=x, x_hat=x_hat,
-                y=np.zeros(2), ell=np.zeros(2), u=0.0, m_next=0.0, e_theta=c, flow_gap=0.0))
+        thetas = rng.uniform(c, 1.0, size=39)
+        zeros, zero_rows = np.zeros(39), np.zeros((39, 2))
+        trajectory = Trajectory(
+            rounds=range(1, 40), omega=np.zeros(39, dtype=np.intp), theta=thetas,
+            theta_hat=thetas - c, u=zeros, m_next=zeros, flow_gap=zeros,
+            x=np.stack([p_flows(sig, SWAP, float(t), 0) for t in thetas]),
+            x_hat=np.stack([p_flows(sig, SWAP, float(t) - c, 0) for t in thetas]),
+            y=zero_rows, ell=zero_rows)
         expected = abs(c * (sig.pi[0, 1] - sig.pi[0, 0]))
-        assert calibration_score(records) == pytest.approx([expected, expected], abs=1e-12)
+        assert calibration_score(trajectory) == pytest.approx([expected, expected], abs=1e-12)
 
-    def test_empty_trajectory_rejected(self):
+    def test_empty_trajectory_rejected(self, paper_config):
         with pytest.raises(ConfigurationError):
-            calibration_score([])
+            calibration_score(simulate(replace(paper_config, rounds=3))[:0])
 
 
 def reference_trajectory_csv(path, trajectory, config, with_envelope=False) -> None:
@@ -357,3 +361,89 @@ class TestTrajectoryCsv:
         write_trajectory_csv(tmp_path / "new.csv", trajectory, config, with_envelope=envelope)
         reference_trajectory_csv(tmp_path / "ref.csv", trajectory, config, with_envelope=envelope)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def assert_same_record(got: TrajectoryRecord, want: TrajectoryRecord) -> None:
+    """Every field holds the same dtype, shape and bits."""
+    for name in TrajectoryRecord._fields:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# Both shipped configs x {baseline, discounted 0.9, dynamic nu} x {smoothing,
+# observer gain 0}, and the golden cubic n = 8 network, at the golden length.
+AGREEMENT_CASES = [f"{network}-{scenario}-{estimator}"
+                   for network in ("paper_affine", "paper_affine_nu1")
+                   for scenario in SCENARIOS
+                   for estimator in ("smoothing", "luenberger")] + ["cubic_n8-baseline-smoothing"]
+
+
+class TestTrajectoryColumns:
+    @pytest.mark.parametrize("name", AGREEMENT_CASES)
+    def test_simulate_matches_step_loop(self, name):
+        config, _ = case(name)
+        state, records = initial_state(config), []
+        for _ in range(config.rounds):
+            state, record = step(config, state)
+            records.append(record)
+        trajectory = simulate(config)
+
+        assert len(trajectory) == len(records)
+        for field in TrajectoryRecord._fields:
+            column = getattr(trajectory, field)
+            want = np.array([getattr(r, field) for r in records])
+            assert (column.dtype, column.shape, column.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()), field
+
+        for i, record in enumerate(records):
+            assert_same_record(trajectory[i], record)
+            assert_same_record(trajectory[i - len(records)], record)
+        for got, want in zip(trajectory, records, strict=True):
+            assert_same_record(got, want)
+        for rows in (slice(5, 17), slice(None, None, 7), slice(-4, None), slice(None, None, -3)):
+            part = trajectory[rows]
+            assert isinstance(part, Trajectory)
+            for got, want in zip(part, records[rows], strict=True):
+                assert_same_record(got, want)
+
+    def test_columns_are_read_only(self, paper_config):
+        trajectory = simulate(replace(paper_config, rounds=3))
+        with pytest.raises(ValueError):
+            trajectory.theta[0] = 0.0
+        with pytest.raises(ValueError):
+            trajectory[0].x[0] = 0.0
+
+
+class TestMemory:
+    """Traced allocations, not timings: the bounds hold on any host."""
+
+    def test_simulate_holds_at_most_200_bytes_per_round(self):
+        config = load_config(PAPER_CONFIG)
+        assert config.rounds == 5000
+        simulate(replace(config, rounds=5))  # first-call allocations are not the result's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trajectory = simulate(config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trajectory) == config.rounds
+        assert held <= 200 * config.rounds, held / config.rounds
+
+    @pytest.mark.parametrize("name", ["paper_affine_envelope", "cubic_n32"])
+    def test_export_adds_under_256_kib_of_peak(self, name, tmp_path):
+        if name == "cubic_n32":
+            config, envelope = cubic_config(n=32), False
+        else:
+            config, envelope = load_config(PAPER_CONFIG), True
+        trajectory = simulate(config)
+        write_trajectory_csv(tmp_path / "warm.csv", trajectory[:2], config, with_envelope=envelope)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "run.csv", trajectory, config, with_envelope=envelope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "run.csv").stat().st_size > 256 * 1024  # a buffered file would show
+        assert peak < 256 * 1024, peak
