@@ -3,9 +3,9 @@
 Given a forecast theta of the disobedience fraction, the non-participating
 mass 1 - nu splits across links so that no used link has higher expected
 latency than any other (expectation over the state prior, with the forecast
-participating flows as background).  That split is the unique minimizer of a
-convex separable potential over the scaled simplex; we solve it by projected
-gradient descent and certify the result through the equivalent variational
+participating flows as background).  That split minimizes a separable
+potential over the scaled simplex; we solve it by projected gradient descent
+with a fixed step and certify the result through the equivalent variational
 inequality, which only needs checking at the simplex vertices because the
 inequality is linear in the comparison point.
 """
@@ -18,15 +18,10 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, eval_latency,
-                    flows, p_flows, poly_rows)
+from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _readonly,
+                    eval_latency, flows, p_flows, poly_rows)
 
-ARMIJO_C1 = 1e-4
 MAX_ITER = 10_000
-# Absolute slack added to the Armijo test so it cannot spuriously reject once
-# potential differences fall below representable precision; safe because the
-# trial step is capped at 1/L, which keeps the projected iteration contractive.
-_NOISE_GUARD = 1e-14
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,12 @@ def _potential_from_coeffs(coeffs: np.ndarray, y: np.ndarray) -> float:
 
 
 def _trial_step(coeffs: np.ndarray, mass: float) -> float:
-    """Largest safe gradient step: 1 over the gradient's Lipschitz bound on the box."""
+    """The solver's step, min(1, 1/L) for L the gradient's Lipschitz bound on the scaled simplex.
+
+    The Hessian is diagonal with |entry i| <= sum_p p |c[p, i]| mass**(p - 1) there, so
+    any step <= 1/L gives phi(y+) <= phi(y) + grad . (y+ - y) / 2 <= phi(y), convex or
+    not (Beck and Teboulle 2009, Lemma 2.3): every step descends, with no line search.
+    """
     if coeffs.shape[0] < 2:
         return 1.0
     p = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
@@ -179,8 +179,8 @@ def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: 
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
     Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
-    the response mass is zero.  The potential and the trial step are needed
-    only once the start point fails its certificate, so they are computed then.
+    the response mass is zero.  ``start`` is projected, not checked.  The step
+    of :func:`_trial_step` is computed once the start point fails its certificate.
     """
     mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
@@ -191,31 +191,19 @@ def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: 
     else:
         y = project_simplex(np.asarray(start, dtype=float), mass)
     tol = game.solver_tol
-    phi = t_init = None
     margin = 0.0
     for it in range(MAX_ITER):
         grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -tol:
             return y, coeffs, margin, it
-        if phi is None:
-            phi = _potential_from_coeffs(coeffs, y)
-            t_init = _trial_step(coeffs, mass)
-        t = t_init
-        guard = _NOISE_GUARD * max(1.0, abs(phi))
-        while True:
-            y_new = project_simplex(y - t * grad, mass)
-            phi_new = _potential_from_coeffs(coeffs, y_new)
-            if phi_new <= phi + ARMIJO_C1 * float(grad @ (y_new - y)) + guard:
-                break
-            t *= 0.5
-            if t < 1e-18:
-                raise SolverError("line search stalled before reaching the VI certificate",
-                                  last_iterate=y, vi_margin=margin, iterations=it)
+        if it == 0:
+            t = _trial_step(coeffs, mass)
+        y_new = project_simplex(y - t * grad, mass)
         if np.array_equal(y_new, y):
             raise SolverError("iterate stopped moving before reaching the VI certificate",
                               last_iterate=y, vi_margin=margin, iterations=it)
-        y, phi = y_new, phi_new
+        y = y_new
     raise SolverError(f"no VI certificate after {MAX_ITER} iterations",
                       last_iterate=y, vi_margin=margin, iterations=MAX_ITER)
 
@@ -224,11 +212,16 @@ def solve_bwe(config: GameConfig, theta: float, *,
               start: np.ndarray | None = None) -> BestResponse:
     """Best response of the non-participating mass 1 - nu to the forecast theta.
 
-    Deterministic projected gradient descent with halving Armijo line search,
-    started from the uniform point unless ``start`` is given.  Converged when
-    the vertex VI margin clears ``-config.solver_tol``.
+    Deterministic projected gradient descent with the fixed step of
+    :func:`_trial_step`, started from the uniform point or the projection of
+    ``start``, a finite vector with one entry per link.  Converged when the
+    vertex VI margin clears ``-config.solver_tol``.
     """
     _check_unit_interval(theta, "theta")
+    if start is not None:
+        start = _readonly(start, "start")
+        if start.shape != (config.latency.n,) or not np.all(np.isfinite(start)):
+            raise ConfigurationError(f"start must be a finite vector of {config.latency.n} entries")
     if config.signal.nu == 1.0:  # nothing to respond with; skip compiling the game
         return BestResponse(y=np.zeros(config.latency.n), theta=theta, potential_value=0.0,
                             vi_margin=0.0, iterations=0)

@@ -1,14 +1,139 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import routegame.equilibrium as equilibrium
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
-                       Signal, check_obedience, expected_latency, lipschitz_estimate, potential,
-                       project_simplex, solve_bwe, verify_vi)
+                       Signal, SolverError, check_obedience, expected_latency, lipschitz_estimate,
+                       potential, project_simplex, simulate, solve_bwe, verify_vi)
+from routegame.equilibrium import (_potential_from_coeffs, _trial_step, _vi_margin,
+                                   best_response, response_coeffs)
+from routegame.model import CompiledGame, poly_rows
 
 from conftest import benchmark_config, grid_best_response, random_affine_config
+from test_golden import cubic_config
+
+ARMIJO_C1 = 1e-4
+NOISE_GUARD = 1e-14
+
+
+def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
+                         start: np.ndarray | None, halvings: list):
+    """Projected gradient with a halving Armijo line search that starts at the fixed step.
+
+    The reference that the fixed-step ``best_response`` is checked against: the
+    same iteration, with every step tested for sufficient decrease of the
+    potential and halved until it passes.  Each halved step is appended to
+    ``halvings``.
+    """
+    mass, n = game.mass, pi.shape[1]
+    if mass == 0.0:
+        return np.zeros(n), None, 0.0, 0
+    coeffs = response_coeffs(game, pi, shift, theta)
+    y = np.full(n, mass / n) if start is None else project_simplex(start, mass)
+    phi = t_init = None
+    margin = 0.0
+    for it in range(equilibrium.MAX_ITER):
+        grad = poly_rows(coeffs, y)
+        margin = _vi_margin(grad, y, mass)
+        if margin >= -game.solver_tol:
+            return y, coeffs, margin, it
+        if phi is None:
+            phi = _potential_from_coeffs(coeffs, y)
+            t_init = _trial_step(coeffs, mass)
+        t = t_init
+        # slack for potential differences below representable precision
+        guard = NOISE_GUARD * max(1.0, abs(phi))
+        while True:
+            y_new = project_simplex(y - t * grad, mass)
+            phi_new = _potential_from_coeffs(coeffs, y_new)
+            if phi_new <= phi + ARMIJO_C1 * float(grad @ (y_new - y)) + guard:
+                break
+            t *= 0.5
+            halvings.append(t)
+            if t < 1e-18:
+                raise SolverError("line search stalled before reaching the VI certificate",
+                                  last_iterate=y, vi_margin=margin, iterations=it)
+        if np.array_equal(y_new, y):
+            raise SolverError("iterate stopped moving before reaching the VI certificate",
+                              last_iterate=y, vi_margin=margin, iterations=it)
+        y, phi = y_new, phi_new
+    raise SolverError(f"no VI certificate after {equilibrium.MAX_ITER} iterations",
+                      last_iterate=y, vi_margin=margin, iterations=equilibrium.MAX_ITER)
+
+
+def _outcome(solver, *args):
+    """``(error message or None, y, vi_margin, iterations)`` of a solver call."""
+    try:
+        y, _, margin, it = solver(*args)
+        return None, y, margin, it
+    except SolverError as exc:
+        return str(exc), exc.last_iterate, exc.vi_margin, exc.iterations
+
+
+@st.composite
+def solver_instances(draw):
+    """Random affine or cubic game, forecast and start; quadratic terms may be negative."""
+    n, s = draw(st.integers(2, 256)), draw(st.integers(1, 3))
+    degree = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [rng.uniform(0.0, 10.0, size=(s, n)), rng.uniform(1.0, 4.0, size=(s, n))]
+    if degree == 3:
+        low = -2.0 if draw(st.booleans()) else 0.0
+        coeffs += [rng.uniform(low, 2.0, size=(s, n)), rng.uniform(0.0, 2.0, size=(s, n))]
+    nu = float(rng.uniform(0.2, 0.8))
+    pi = rng.dirichlet(np.ones(n), size=s) * nu
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, np.arange(n) != i] = rng.dirichlet(np.ones(n - 1))
+    try:
+        config = GameConfig(
+            latency=LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs),
+            prior=Prior(rng.dirichlet(np.ones(s))),
+            signal=Signal(pi=pi * (nu / pi.sum(axis=1, keepdims=True)), nu=nu),
+            disobedience=DisobedienceMatrix(P))
+    except ConfigurationError:
+        assume(False)
+    start = rng.uniform(-0.5, 1.0, size=n) if draw(st.booleans()) else None
+    return config, draw(st.floats(0.0, 1.0)), start
+
+
+class TestFixedStep:
+    @given(solver_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_armijo_reference_bit_for_bit(self, instance):
+        config, theta, start = instance
+        game = CompiledGame.of(config)
+        args, halvings = (game, game.pi, game.shift, theta, start), []
+        error, y, margin, it = _outcome(best_response, *args)
+        ref_error, ref_y, ref_margin, ref_it = _outcome(armijo_best_response, *args, halvings)
+        assert halvings == []
+        assert error == ref_error
+        assert np.array_equal(y, ref_y)
+        assert (margin, it) == (ref_margin, ref_it)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7])
+    def test_iteration_cap_raises_with_diagnostics(self, theta, monkeypatch):
+        config = cubic_config()
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 2)
+        with pytest.raises(SolverError, match="after 2 iterations") as info:
+            solve_bwe(config, theta)
+        exc, mass = info.value, 1.0 - config.signal.nu
+        assert exc.iterations == 2
+        assert exc.vi_margin < -config.solver_tol
+        assert np.all(exc.last_iterate >= 0.0)
+        assert exc.last_iterate.sum() == pytest.approx(mass, abs=1e-12)
+
+    def test_iteration_cap_in_simulate_names_the_round(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 2)
+        with pytest.raises(SolverError, match=r"^round 1: no VI certificate after 2 iterations"):
+            simulate(replace(cubic_config(), rounds=3))
 
 
 class TestExpectedLatency:
@@ -165,6 +290,12 @@ class TestSolveBwe:
                 method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
             assert ref.success
             assert np.abs(br.y - ref.x).max() <= 5e-6, (br.y, ref.x)
+
+    @pytest.mark.parametrize("start", [[np.nan, 0.5], [np.inf, 0.0], np.zeros(3), [[0.1, 0.2]]],
+                             ids=["nan", "inf", "three_entries", "row_matrix"])
+    def test_malformed_start_rejected(self, paper_config, start):
+        with pytest.raises(ConfigurationError, match="start"):
+            solve_bwe(paper_config, 0.5, start=start)
 
     def test_uniqueness_probe(self):
         rng = np.random.default_rng(99)
