@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -28,8 +29,8 @@ from .equilibrium import best_response
 from .errors import ConfigurationError, SolverError, UnidentifiableError
 from .estimators import (LuenbergerState, SmoothingSpec, SmoothingState, envelope_series, observe,
                          smooth)
-from .model import (CompiledGame, GameConfig, Scenario, Signal, flows, poly_rows,
-                    rerouting_shift)
+from .model import (CompiledGame, GameConfig, Scenario, Signal, _check_state_index,
+                    _link_vector, flows, poly_rows, rerouting_shift)
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +43,12 @@ class SimulationState:
     """Mutable per-run state; round k + 1 is fully determined by round k.
 
     The generator object is advanced in place, so a state consumed by
-    :func:`step` must not be reused.
+    :func:`step` must not be reused.  ``y_warm`` is the last round's response,
+    the start of the next solve.  ``y_warm_fixed`` is set once that start is
+    its own simplex projection, byte for byte; the solve then starts from it
+    without projecting it again, and returns that same array while it
+    certifies at once, so consecutive records may share one ``y`` array.  No
+    array of a record is ever written in place.
     """
 
     k: int
@@ -52,6 +58,7 @@ class SimulationState:
     nu_current: float
     rng: np.random.Generator
     y_warm: np.ndarray | None = None
+    y_warm_fixed: bool = False
     game: CompiledGame | None = None  # the config's compiled game, from round 1 on
 
 
@@ -128,10 +135,11 @@ def payoff_gap(pi_w: np.ndarray, matrix: np.ndarray, ell: np.ndarray) -> float:
 
 def instantaneous_regret(signal: Signal, disobedience, ell: np.ndarray, omega: int) -> float:
     """Aggregate payoff difference of the recommendations against fixed deviations."""
-    ell = np.asarray(ell, dtype=float)
-    if not np.all(np.isfinite(ell)):
-        raise ConfigurationError("latencies must be finite")
-    return payoff_gap(signal.pi[omega], disobedience.matrix, ell)
+    states, n = signal.pi.shape
+    if disobedience.n != n:
+        raise ConfigurationError(f"signal has {n} links, disobedience matrix {disobedience.n}")
+    _check_state_index(omega, states)
+    return payoff_gap(signal.pi[omega], disobedience.matrix, _link_vector(ell, n, "latencies"))
 
 
 def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
@@ -145,6 +153,8 @@ def regret_update(m: float, u: float, k: int, scenario: Scenario) -> float:
     """Fold round-k payoff difference into the aggregate regret."""
     if k < 1:
         raise ConfigurationError(f"round index must be >= 1, got {k}")
+    if not (math.isfinite(m) and math.isfinite(u)):
+        raise ConfigurationError(f"regret and payoff difference must be finite, got {m} and {u}")
     return fold_regret(m, u, k, scenario.discount)
 
 
@@ -164,8 +174,10 @@ def recover_theta(config: GameConfig, observed_total_flows: np.ndarray, omega: i
     """
     if not config.latency.is_strictly_increasing:
         raise ConfigurationError("theta recovery requires strictly increasing latencies")
-    f = np.asarray(observed_total_flows, dtype=float)
-    x = f - np.asarray(y_known, dtype=float)
+    n = config.latency.n
+    _check_state_index(omega, config.latency.num_states)
+    x = (_link_vector(observed_total_flows, n, "observed total flows")
+         - _link_vector(y_known, n, "known response"))
     pi_w = config.signal.pi[omega]
     coeff = rerouting_shift(config.disobedience.matrix, pi_w)
     scale = float(np.abs(coeff).max())
@@ -209,6 +221,13 @@ def step(config: GameConfig, state: SimulationState,
     from it.  The first round compiles the game; the state carries it on.
     With ``into``, the round's record is also written into row ``k - 1`` of
     its columns, which is how :func:`simulate` fills a run.
+
+    The best response starts from the last round's.  That start is fixed once
+    a solve certifies at iteration 0 and returns the bytes it started from
+    (compared as bytes, so that -0.0 does not pass for 0.0): the start is then
+    its own projection, and later rounds skip projecting it until the solver
+    iterates again.  While it stays fixed, each round's ``y`` is the same
+    array as the last round's, never written in place.
     """
     game = CompiledGame.of(config) if state.game is None else state.game
     k = state.k
@@ -220,8 +239,10 @@ def step(config: GameConfig, state: SimulationState,
     pi_w, shift_w = pi[omega], shift[omega]
     x = flows(pi_w, shift_w, theta)
     x_hat = flows(pi_w, shift_w, state.theta_hat)
+    start = state.y_warm
     try:
-        y = best_response(game, pi, shift, state.theta_hat, state.y_warm)[0]
+        y, _, _, iterations = best_response(game, pi, shift, state.theta_hat, start,
+                                            state.y_warm_fixed)
     except SolverError as exc:
         raise SolverError(f"round {k}: {exc}", last_iterate=exc.last_iterate,
                           vi_margin=exc.vi_margin, iterations=exc.iterations) from exc
@@ -243,6 +264,8 @@ def step(config: GameConfig, state: SimulationState,
         theta_hat_next = theta_of_m(est_next.m_hat, game.m_max)
 
     nu_next = theta if game.dynamic_nu else state.nu_current
+    y_fixed = iterations == 0 and start is not None and (
+        state.y_warm_fixed or y.tobytes() == start.tobytes())
 
     record = TrajectoryRecord(
         k=k,
@@ -270,6 +293,7 @@ def step(config: GameConfig, state: SimulationState,
         nu_current=nu_next,
         rng=state.rng,
         y_warm=y,
+        y_warm_fixed=y_fixed,
         game=game,
     )
     return next_state, record

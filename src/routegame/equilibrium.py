@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _readonly,
+from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _link_vector,
                     eval_latency, flows, p_flows, poly_rows)
 
 MAX_ITER = 10_000
@@ -175,12 +175,17 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
 
 
 def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
-                  start: np.ndarray | None = None):
+                  start: np.ndarray | None = None, start_fixed: bool = False):
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
     Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
-    the response mass is zero.  ``start`` is projected, not checked.  The step
-    of :func:`_trial_step` is computed once the start point fails its certificate.
+    the response mass is zero.  ``start`` is projected, not checked, unless
+    ``start_fixed`` says it is a float array whose projection onto the simplex
+    of mass ``game.mass`` has its own bytes; then it is used as is, which gives
+    the same bits, since the projection is a pure function.  A response that
+    certifies at iteration 0 is the start point itself, the same array.  The
+    step of :func:`_trial_step` is computed once the start point fails its
+    certificate.
     """
     mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
@@ -188,6 +193,8 @@ def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: 
     coeffs = response_coeffs(game, pi, shift, theta)
     if start is None:
         y = np.full(n, mass / n)
+    elif start_fixed:
+        y = start
     else:
         y = project_simplex(np.asarray(start, dtype=float), mass)
     tol = game.solver_tol
@@ -219,9 +226,7 @@ def solve_bwe(config: GameConfig, theta: float, *,
     """
     _check_unit_interval(theta, "theta")
     if start is not None:
-        start = _readonly(start, "start")
-        if start.shape != (config.latency.n,) or not np.all(np.isfinite(start)):
-            raise ConfigurationError(f"start must be a finite vector of {config.latency.n} entries")
+        start = _link_vector(start, config.latency.n, "start")
     if config.signal.nu == 1.0:  # nothing to respond with; skip compiling the game
         return BestResponse(y=np.zeros(config.latency.n), theta=theta, potential_value=0.0,
                             vi_margin=0.0, iterations=0)

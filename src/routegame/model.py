@@ -46,6 +46,20 @@ def _check_unit_interval(x: float, name: str) -> None:
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
 
 
+def _check_state_index(omega, num_states: int) -> None:
+    """A state index must be an integer in [0, num_states): numpy would wrap a negative one."""
+    if not isinstance(omega, (int, np.integer)) or not 0 <= omega < num_states:
+        raise ConfigurationError(f"state index {omega} outside [0, {num_states})")
+
+
+def _link_vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a read-only float copy, checked to be finite with one entry per link."""
+    v = _readonly(v, name)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ConfigurationError(f"{name} must be a finite vector of {n} entries")
+    return v
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-state polynomial link latencies.
@@ -321,18 +335,18 @@ def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Evaluate, per link i, the polynomial with coefficients ``coeffs[:, i]`` at ``f[i]``.
 
     Horner's rule from the top coefficient down; the kernel behind latencies
-    and the best response's gradient.
+    and the best response's gradient.  Its first multiply makes the result a
+    new array, so only a constant polynomial needs a copy.
     """
-    out = np.array(coeffs[-1])
+    out = coeffs[-1]
     for d in range(coeffs.shape[0] - 2, -1, -1):
         out = out * f + coeffs[d]
-    return out
+    return out if coeffs.shape[0] > 1 else np.array(out)
 
 
 def eval_latency(model: LatencyModel, omega: int, f: np.ndarray) -> np.ndarray:
     """Per-link latencies in state ``omega`` at the given link flows."""
-    if not 0 <= omega < model.num_states:
-        raise ConfigurationError(f"state index {omega} outside [0, {model.num_states})")
+    _check_state_index(omega, model.num_states)
     f = np.asarray(f, dtype=float)
     if f.shape != (model.n,):
         raise ConfigurationError(f"flow vector shape {f.shape} does not match {model.n} links")
@@ -369,8 +383,7 @@ def p_flows(signal: Signal, disobedience: DisobedienceMatrix, theta: float,
     forecast flows.
     """
     _check_unit_interval(theta, "theta")
-    if not 0 <= omega < signal.pi.shape[0]:
-        raise ConfigurationError(f"state index {omega} outside [0, {signal.pi.shape[0]})")
+    _check_state_index(omega, signal.pi.shape[0])
     pi_w = signal.pi[omega]
     if signal.pi.shape[1] != disobedience.n:
         raise ConfigurationError(

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import routegame.dynamics as dynamics
+import routegame.equilibrium as equilibrium
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
                        TrajectoryRecord, UnidentifiableError, calibration_score, initial_state,
@@ -18,8 +23,9 @@ from routegame.cli import load_config
 from routegame.dynamics import trajectory_columns
 from routegame.estimators import envelope_series
 
-from conftest import AFFINE_COEFFS, benchmark_config, random_affine_config
-from test_golden import SCENARIOS, case, cubic_config
+from conftest import (AFFINE_COEFFS, affine_latency, benchmark_config, random_affine_config,
+                      revealing_signal)
+from test_golden import DIGESTS, SCENARIOS, case, cubic_config
 
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
 
@@ -69,6 +75,19 @@ class TestInstantaneousRegret:
         assert u == pytest.approx(oracle, abs=1e-12)
         assert u == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("ell, omega", [
+        ([7.0, 26.0], -1), ([7.0, 26.0], 2), ([7.0, 26.0], 1.0),
+        ([7.0, 26.0, 1.0], 0), ([7.0], 0), ([7.0, np.nan], 0), ([[7.0, 26.0]], 0)])
+    def test_bad_state_or_latencies_rejected(self, ell, omega):
+        # -1 used to read the last state's row
+        with pytest.raises(ConfigurationError):
+            instantaneous_regret(revealing_signal(0.5), SWAP, np.array(ell), omega)
+
+    def test_link_count_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            instantaneous_regret(revealing_signal(0.5), DisobedienceMatrix.default(3),
+                                 np.array([7.0, 26.0]), 0)
+
 
 class TestRegretUpdate:
     def test_running_average_step(self):
@@ -90,6 +109,13 @@ class TestRegretUpdate:
     def test_round_index_validated(self):
         with pytest.raises(ConfigurationError):
             regret_update(0.0, 0.0, 0, Scenario.baseline())
+
+    @pytest.mark.parametrize("m, u", [(0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0),
+                                      (0.0, -np.inf)])
+    def test_non_finite_inputs_rejected(self, m, u):
+        for scenario in SCENARIOS.values():
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                regret_update(m, u, 1, scenario)
 
 
 class TestThetaOfM:
@@ -153,6 +179,16 @@ class TestRecoverTheta:
         cfg = equal_constant_config()
         with pytest.raises(ConfigurationError):
             recover_theta(cfg, np.array([0.5, 0.5]), 0, np.zeros(2))
+
+    @pytest.mark.parametrize("f, omega, y", [
+        ([0.6, 0.4], -1, [0.5, 0.0]), ([0.6, 0.4], 2, [0.5, 0.0]), ([0.6, 0.4], 0.0, [0.5, 0.0]),
+        ([0.6, 0.4, 0.0], 0, [0.5, 0.0]), ([0.6, 0.4], 0, [0.5]),
+        ([0.6, np.inf], 0, [0.5, 0.0]), ([0.6, 0.4], 0, [np.nan, 0.0])])
+    def test_bad_state_or_vectors_rejected(self, f, omega, y):
+        # -1 used to read the last state's row and return 0.6
+        cfg = benchmark_config(latency=affine_latency(require_strict_increase=True))
+        with pytest.raises(ConfigurationError):
+            recover_theta(cfg, np.array(f), omega, np.array(y))
 
 
 class TestStep:
@@ -412,6 +448,129 @@ class TestTrajectoryColumns:
             trajectory.theta[0] = 0.0
         with pytest.raises(ValueError):
             trajectory[0].x[0] = 0.0
+
+
+COLUMNS = tuple(f.name for f in fields(Trajectory))[1:]  # every stored column, after rounds
+
+
+def projecting_step_loop(config: GameConfig) -> Trajectory:
+    """Reference run: every round after the first projects its warm start again."""
+    solve = dynamics.best_response
+
+    def projecting(game, pi, shift, theta, start, start_fixed=False):
+        return solve(game, pi, shift, theta, start)
+
+    state, records = initial_state(config), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "best_response", projecting)
+        for _ in range(config.rounds):
+            state, record = step(config, state)
+            records.append(record)
+    columns = {name: np.array([getattr(r, name) for r in records]) for name in COLUMNS}
+    return Trajectory(rounds=range(1, config.rounds + 1), **columns)
+
+
+@st.composite
+def skip_games(draw):
+    """Seeded affine or cubic game with n in [2, 64], any scenario and either estimator."""
+    n, degree = draw(st.integers(2, 64)), draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 2
+    coeffs = [rng.uniform(0.0, 10.0, size=(s, n)), rng.uniform(1.0, 4.0, size=(s, n))]
+    coeffs += [rng.uniform(0.0, 2.0, size=(s, n)) for _ in range(degree - 1)]
+    nu = float(rng.uniform(0.2, 0.8))
+    pi = rng.dirichlet(np.ones(n), size=s) * nu
+    estimator = draw(st.sampled_from(["smoothing", "luenberger", "luenberger_0.01"]))
+    gain = float(estimator.partition("_")[2] or 0.0)
+    latency = LatencyModel(states=("s0", "s1"), coeffs=np.stack(coeffs))
+    config = GameConfig(
+        latency=latency, prior=Prior([0.4, 0.6]),
+        signal=Signal(pi=pi * (nu / pi.sum(axis=1, keepdims=True)), nu=nu),
+        disobedience=DisobedienceMatrix.default(n),
+        scenario=SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))],
+        m_init=draw(st.floats(-0.5, 0.5)) * float(latency.coeffs.max(axis=1).sum()),
+        theta_hat_init=draw(st.floats(0.0, 1.0)),
+        rounds=draw(st.integers(40, 200)), seed=draw(st.integers(0, 2**16)))
+    if estimator != "smoothing":
+        config = replace(config, estimator=LuenbergerSpec.from_scalar(gain, n))
+    return config
+
+
+class TestWarmStartSkip:
+    """A warm start that is its own projection is not projected again."""
+
+    @staticmethod
+    def count_projections(monkeypatch) -> list:
+        calls = []
+        project = equilibrium.project_simplex
+
+        def counted(v, mass):
+            calls.append(mass)
+            return project(v, mass)
+
+        monkeypatch.setattr(equilibrium, "project_simplex", counted)
+        return calls
+
+    @given(skip_games())
+    @example(replace(cubic_config(), rounds=120))  # its warm solves iterate in most rounds
+    @settings(max_examples=40, deadline=None)
+    def test_skip_never_moves_a_bit(self, config):
+        got, want = simulate(config), projecting_step_loop(config)
+        for column in COLUMNS:
+            a, b = getattr(got, column), getattr(want, column)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
+    def test_paper_affine_projects_at_most_twice(self, monkeypatch):
+        config = replace(load_config(PAPER_CONFIG), rounds=300)
+        calls = self.count_projections(monkeypatch)
+        simulate(config)
+        assert len(calls) <= 2  # 300 without the skip, one per round
+
+    def test_cubic_n8_skips_some_warm_projections(self, monkeypatch, tmp_path):
+        config, _ = case("cubic_n8-baseline-smoothing")
+        calls, iterations = self.count_projections(monkeypatch), []
+        solve = dynamics.best_response
+
+        def counted(*args):
+            out = solve(*args)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(dynamics, "best_response", counted)
+        trajectory = simulate(config)
+        write_trajectory_csv(tmp_path / "run.csv", trajectory, config)
+        digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+        assert digest == DIGESTS["cubic_n8-baseline-smoothing"]
+        # every iteration projects once; the rest project warm starts, one per
+        # round from round 2 on without the skip
+        assert sum(iterations) > 0
+        assert len(calls) - sum(iterations) < config.rounds - 1
+
+    def test_signed_zero_start_is_not_fixed(self, paper_config):
+        # [0.5, -0.0] projects to [0.5, 0.0]: equal as numbers, not as bytes
+        state = replace(initial_state(paper_config), k=2, y_warm=np.array([0.5, -0.0]))
+        state, record = step(paper_config, state)
+        assert record.y.tobytes() == np.array([0.5, 0.0]).tobytes()
+        assert not state.y_warm_fixed
+        state, second = step(paper_config, state)  # [0.5, 0.0] is its own projection
+        assert state.y_warm_fixed
+        state, third = step(paper_config, state)
+        assert state.y_warm_fixed and third.y is second.y
+
+    def test_flag_follows_the_solver(self):
+        # set only when a round returns its start's bytes; a fixed start stays
+        # fixed, as the same array, until the solver iterates
+        config = cubic_config()
+        state, fixed_rounds = initial_state(config), 0
+        for _ in range(config.rounds):
+            start, was_fixed = state.y_warm, state.y_warm_fixed
+            state, record = step(config, state)
+            if state.y_warm_fixed:
+                assert record.y.tobytes() == start.tobytes()
+            if was_fixed:
+                fixed_rounds += 1
+                assert state.y_warm_fixed == (record.y is start)
+        assert 0 < fixed_rounds < config.rounds
 
 
 class TestMemory:

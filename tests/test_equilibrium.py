@@ -136,6 +136,28 @@ class TestFixedStep:
             simulate(replace(cubic_config(), rounds=3))
 
 
+class TestFixedStart:
+    @given(solver_instances())
+    @settings(max_examples=50, deadline=None)
+    def test_fixed_start_gives_the_projected_start_bits(self, instance):
+        config, theta, start = instance
+        game = CompiledGame.of(config)
+        args, n = (game, game.pi, game.shift, theta), config.latency.n
+        # a vertex is always its own projection; most projections are not, byte for byte
+        vertex = np.zeros(n)
+        vertex[n // 2] = game.mass
+        projected = project_simplex(np.ones(n) if start is None else start, game.mass)
+        for fixed in (vertex, projected):
+            if project_simplex(fixed, game.mass).tobytes() != fixed.tobytes():
+                continue
+            error, y, margin, it = _outcome(best_response, *args, fixed, True)
+            ref_error, ref_y, ref_margin, ref_it = _outcome(best_response, *args, fixed)
+            assert (error, y.tobytes(), margin, it) == (
+                ref_error, ref_y.tobytes(), ref_margin, ref_it)
+            if error is None and it == 0:
+                assert y is fixed
+
+
 class TestExpectedLatency:
     def test_benchmark_at_zero_response(self, paper_config):
         out = expected_latency(paper_config, 0.0, np.zeros(2))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
                        Scenario, Signal, eval_latency, instantaneous_regret, m_max_default,
                        p_flows)
-from routegame.model import CompiledGame, flows
+from routegame.model import CompiledGame, flows, poly_rows
 
 from conftest import affine_latency
 
@@ -52,6 +52,23 @@ class TestEvalLatency:
             bumped = f.copy()
             bumped[i] += 1e-4
             assert eval_latency(model, omega, bumped)[i] >= base[i]
+
+
+class TestPolyRows:
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_horner_bits_in_a_new_array(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(-2.0, 2.0, size=(degree + 1, 2, 5))
+        coeffs.setflags(write=False)
+        f = rng.uniform(0.0, 1.0, size=5)
+        for w in range(2):
+            rows = coeffs[:, w, :]
+            want = np.array(rows[-1])  # Horner's rule from a copy of the top coefficients
+            for d in range(degree - 1, -1, -1):
+                want = want * f + rows[d]
+            got = poly_rows(rows, f)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and not np.shares_memory(got, coeffs)
 
 
 class TestMMaxDefault:
