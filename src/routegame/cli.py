@@ -29,11 +29,13 @@ from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenari
 
 OUT_DIR_ENV = "ROUTEGAME_OUT"
 
+# The optional numeric settings that GameConfig takes under their own names.
+_NUMBER_KEYS = {"m_max": float, "m_init": float, "theta_hat_init": float, "beta_min": float,
+                "beta_max": float, "solver_tol": float, "rounds": int, "seed": int}
 _KNOWN_KEYS = {
     "links", "states", "degree", "coeffs", "prior", "nu", "signal", "disobedience",
-    "m_max", "allow_small_m_max", "m_init", "theta_hat_init", "beta", "beta_schedule",
-    "beta_min", "beta_max", "scenario", "estimator", "solver_tol", "rounds", "seed",
-    "strict_increase",
+    "allow_small_m_max", "beta", "beta_schedule", "scenario", "estimator", "strict_increase",
+    *_NUMBER_KEYS,
 }
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
@@ -99,25 +101,34 @@ def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
 
 
 def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
+    """The config the file's keys give; an absent key takes the model's own default."""
     for key in ("states", "coeffs", "prior", "nu", "signal"):
         if key not in raw:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
 
-    def number(key: str, default, kind=float):
-        return _convert(kind, raw.get(key, default), f"{path}: {key}")
+    def number(key: str, kind=float):
+        return _convert(kind, raw[key], f"{path}: {key}")
+
+    def flag(key: str, name: str) -> dict[str, bool]:
+        """``{name: value}`` for a YAML boolean under ``key``; ``{}`` when the file lacks it."""
+        if key not in raw:
+            return {}
+        if not isinstance(raw[key], bool):  # bool() would read "false" or [0] as true
+            raise ConfigurationError(f"{path}: {key} must be true or false, got {raw[key]!r}")
+        return {name: raw[key]}
 
     if not isinstance(raw["states"], (list, tuple)):
         raise ConfigurationError(f"{path}: states must be a list of labels, got {raw['states']!r}")
     latency = LatencyModel(states=tuple(raw["states"]), coeffs=raw["coeffs"],
-                           require_strict_increase=bool(raw.get("strict_increase", False)))
-    if "links" in raw and number("links", None, int) != latency.n:
+                           **flag("strict_increase", "require_strict_increase"))
+    if "links" in raw and number("links", int) != latency.n:
         raise ConfigurationError(
             f"{path}: links={raw['links']} but coeffs describe {latency.n} links")
-    if "degree" in raw and number("degree", None, int) != latency.degree:
+    if "degree" in raw and number("degree", int) != latency.degree:
         raise ConfigurationError(
             f"{path}: degree={raw['degree']} but coeffs describe degree {latency.degree}")
     try:
-        signal = Signal(pi=raw["signal"], nu=number("nu", None))
+        signal = Signal(pi=raw["signal"], nu=number("nu"))
     except SignalRowError as exc:  # name the row by its state
         label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
         raise SignalRowError(label, exc.total, exc.nu) from None
@@ -130,29 +141,22 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     if "beta_schedule" in raw:
         if "beta" in raw:
             raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
-        schedule = BetaSchedule.from_sequence(raw["beta_schedule"])
+        schedule = {"schedule": BetaSchedule.from_sequence(raw["beta_schedule"])}
     else:
-        schedule = BetaSchedule.constant(number("beta", 0.5))
+        schedule = {"schedule": BetaSchedule.constant(number("beta"))} if "beta" in raw else {}
     estimator = _parse_estimator(raw.get("estimator", "smoothing"), latency.n)
     if isinstance(estimator, SmoothingSpec):
-        estimator = SmoothingSpec(schedule=schedule)
+        estimator = SmoothingSpec(**schedule)
 
     return GameConfig(
         latency=latency,
         prior=Prior(raw["prior"]),
         signal=signal,
         disobedience=disobedience,
-        m_max=number("m_max", None) if "m_max" in raw else None,
-        m_init=number("m_init", 0.0),
-        theta_hat_init=number("theta_hat_init", 0.0),
-        beta_min=number("beta_min", 0.3),
-        beta_max=number("beta_max", 0.7),
         scenario=_parse_scenario(raw.get("scenario", "baseline")),
         estimator=estimator,
-        solver_tol=number("solver_tol", 1e-8),
-        rounds=number("rounds", 5000, int),
-        seed=number("seed", 0, int),
-        allow_small_m_max=bool(raw.get("allow_small_m_max", False)),
+        **{key: number(key, kind) for key, kind in _NUMBER_KEYS.items() if key in raw},
+        **flag("allow_small_m_max", "allow_small_m_max"),
     )
 
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from .equilibrium import best_response
 from .errors import ConfigurationError, SolverError, UnidentifiableError
-from .estimators import (LuenbergerState, SmoothingSpec, SmoothingState, envelope_series, observe,
-                         smooth)
+from .estimators import SmoothingSpec, envelope_series, observe, smooth
 from .model import (CompiledGame, GameConfig, Scenario, Signal, _check_state_index,
                     _link_vector, flows, poly_rows, rerouting_shift)
 
@@ -49,12 +48,15 @@ class SimulationState:
     without projecting it again, and returns that same array while it
     certifies at once, so consecutive records may share one ``y`` array.  No
     array of a record is ever written in place.
+
+    The estimators' state is ``theta_hat``, the forecast for round k, and under
+    the observer ``m_hat``, the regret estimate it is implied by (else None).
     """
 
     k: int
     m: float
     theta_hat: float
-    estimator_state: SmoothingState | LuenbergerState
+    m_hat: float | None
     nu_current: float
     rng: np.random.Generator
     y_warm: np.ndarray | None = None
@@ -188,19 +190,14 @@ def recover_theta(config: GameConfig, observed_total_flows: np.ndarray, omega: i
 
 
 def initial_state(config: GameConfig) -> SimulationState:
-    if isinstance(config.estimator, SmoothingSpec):
-        est: SmoothingState | LuenbergerState = SmoothingState(
-            theta_hat=config.theta_hat_init, schedule=config.estimator.schedule)
-    else:
-        # The observer tracks the regret itself; seed it at the value whose
-        # implied fraction matches the configured initial forecast.
-        est = LuenbergerState(m_hat=config.theta_hat_init * config.m_max,
-                              gain=config.estimator.gain, k=1)
+    # The observer tracks the regret itself; seed it at the value whose
+    # implied fraction matches the configured initial forecast.
+    observer = not isinstance(config.estimator, SmoothingSpec)
     return SimulationState(
         k=1,
         m=config.m_init,
         theta_hat=config.theta_hat_init,
-        estimator_state=est,
+        m_hat=config.theta_hat_init * config.m_max if observer else None,
         nu_current=config.signal.nu,
         rng=np.random.Generator(np.random.PCG64(config.seed)),
     )
@@ -255,13 +252,12 @@ def step(config: GameConfig, state: SimulationState,
                        game.m_max, game.m_max)
         m_next = min(max(m_next, -game.m_max), game.m_max)
 
-    est = state.estimator_state
-    if isinstance(est, SmoothingState):
-        est_next = smooth(est, theta, est.schedule.at(k + 1))
-        theta_hat_next = est_next.theta_hat
+    if game.gain is None:
+        m_hat_next = None
+        theta_hat_next = smooth(state.theta_hat, theta, game.schedule.at(k + 1))
     else:
-        est_next = observe(est, u, game.gain, ell, poly_rows(latency, x_hat + y))
-        theta_hat_next = theta_of_m(est_next.m_hat, game.m_max)
+        m_hat_next = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
+        theta_hat_next = theta_of_m(m_hat_next, game.m_max)
 
     nu_next = theta if game.dynamic_nu else state.nu_current
     y_fixed = iterations == 0 and start is not None and (
@@ -289,7 +285,7 @@ def step(config: GameConfig, state: SimulationState,
         k=k + 1,
         m=m_next,
         theta_hat=theta_hat_next,
-        estimator_state=est_next,
+        m_hat=m_hat_next,
         nu_current=nu_next,
         rng=state.rng,
         y_warm=y,

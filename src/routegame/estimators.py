@@ -3,10 +3,17 @@
 Two estimators are supported: simple exponential smoothing of the disobedience
 fraction, and an observer that mirrors the regret recursion and corrects it with
 the gap between observed and predicted latencies.
+
+Each is a recursion on one float, the forecast theta_hat or the regret estimate
+m_hat; the weight schedule, gain and round index come from the run.  ``step``
+calls the unchecked kernels :func:`smooth` and :func:`observe`; the validating
+wrappers :func:`smoothing_update` and :func:`luenberger_update` return the same
+floats, so they replay a run bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,52 +86,43 @@ class LuenbergerSpec:
         return cls(gain=(float(gain),) * n)
 
 
-@dataclass(frozen=True)
-class SmoothingState:
-    theta_hat: float
-    schedule: BetaSchedule
+def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
+    """Kernel of :func:`smoothing_update`."""
+    return beta * theta_observed + (1.0 - beta) * theta_hat
 
 
-@dataclass(frozen=True)
-class LuenbergerState:
-    m_hat: float
-    gain: tuple[float, ...]
-    k: int
+def smoothing_update(theta_hat: float, theta_observed: float, beta: float) -> float:
+    """Round k + 1's forecast from round k's; ``beta`` is the schedule's ``at(k + 1)``."""
+    for value, name in ((theta_hat, "forecast"), (theta_observed, "observed fraction")):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"{name} {value} outside [0, 1]")
+    if not 0.0 < beta < 1.0:
+        raise ConfigurationError(f"smoothing weight {beta} outside (0, 1)")
+    return float(smooth(theta_hat, theta_observed, beta))
 
 
-def smooth(state: SmoothingState, theta_observed: float, beta: float) -> SmoothingState:
-    """Kernel of :func:`smoothing_update`, with the round's weight given."""
-    theta_hat = beta * theta_observed + (1.0 - beta) * state.theta_hat
-    return SmoothingState(theta_hat=theta_hat, schedule=state.schedule)
+def observe(m_hat: float, k: int, u: float, gain: np.ndarray, ell: np.ndarray,
+            ell_hat: np.ndarray) -> float:
+    """Kernel of :func:`luenberger_update`."""
+    return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
 
 
-def smoothing_update(state: SmoothingState, theta_observed: float, k: int) -> SmoothingState:
-    """One smoothing step: blend the round-k observation into the forecast.
+def luenberger_update(m_hat: float, k: int, u: float, gain, latencies_observed,
+                      latencies_predicted) -> float:
+    """One observer step: fold round k's payoff gap ``u`` and output error into ``m_hat``.
 
-    Returns the state holding the forecast for round k + 1.
+    Returns the regret estimate after round k.
     """
-    if not 0.0 <= theta_observed <= 1.0:
-        raise ConfigurationError(f"observed disobedience fraction {theta_observed} outside [0, 1]")
-    return smooth(state, theta_observed, state.schedule.at(k + 1))
-
-
-def observe(state: LuenbergerState, u: float, gain: np.ndarray, ell: np.ndarray,
-            ell_hat: np.ndarray) -> LuenbergerState:
-    """Kernel of :func:`luenberger_update`; ``gain`` is ``state.gain`` as an array."""
-    k = state.k
-    m_hat = k / (k + 1.0) * state.m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
-    return LuenbergerState(m_hat=m_hat, gain=state.gain, k=k + 1)
-
-
-def luenberger_update(state: LuenbergerState, u: float, latencies_observed: np.ndarray,
-                      latencies_predicted: np.ndarray) -> LuenbergerState:
-    """One observer step driven by the aggregate payoff gap and the output error."""
-    ell = np.asarray(latencies_observed, dtype=float)
-    ell_hat = np.asarray(latencies_predicted, dtype=float)
-    gain = np.asarray(state.gain, dtype=float)
-    if ell.shape != ell_hat.shape or ell.shape != gain.shape:
-        raise ConfigurationError("observer gain and latency vectors must share one length")
-    return observe(state, u, gain, ell, ell_hat)
+    if not (math.isfinite(m_hat) and math.isfinite(u)):
+        raise ConfigurationError(
+            f"regret estimate and payoff difference must be finite, got {m_hat} and {u}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigurationError(f"round index must be an integer >= 1, got {k!r}")
+    vectors = [np.asarray(v, dtype=float) for v in (gain, latencies_observed, latencies_predicted)]
+    if (vectors[0].ndim != 1 or any(v.shape != vectors[0].shape for v in vectors)
+            or not np.isfinite(np.concatenate(vectors)).all()):
+        raise ConfigurationError("observer gain and latencies must be finite vectors of one length")
+    return float(observe(m_hat, k, u, *vectors))
 
 
 def delta_tilde(k: int, beta_min: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SignalRowError
-from .estimators import LuenbergerSpec, SmoothingSpec
+from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
 
 logger = logging.getLogger(__name__)
 
@@ -414,6 +414,7 @@ class CompiledGame:
     response_const: np.ndarray          # (degree + 1, links)
     discount: float | None              # set for the discounted scenario only
     dynamic_nu: bool
+    schedule: BetaSchedule | None       # smoothing estimator only
     gain: np.ndarray | None             # observer estimator only
 
     @classmethod
@@ -437,6 +438,7 @@ class CompiledGame:
             response_const=const,
             discount=config.scenario.discount,
             dynamic_nu=config.scenario.kind == "dynamic_nu",
+            schedule=est.schedule if isinstance(est, SmoothingSpec) else None,
             gain=np.asarray(est.gain, dtype=float) if isinstance(est, LuenbergerSpec) else None,
         )
 

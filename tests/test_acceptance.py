@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from routegame import (BetaSchedule, LuenbergerState, Scenario, SmoothingState, check_obedience,
-                       envelope_series, expected_latency, calibration_score, delta_tilde,
-                       luenberger_update, potential, regret_update, simulate, smoothing_update,
-                       solve_bwe, theta_of_m, verify_vi)
+from routegame import (BetaSchedule, Scenario, check_obedience, envelope_series,
+                       expected_latency, calibration_score, delta_tilde, luenberger_update,
+                       potential, regret_update, simulate, smoothing_update, solve_bwe,
+                       theta_of_m, verify_vi)
 from routegame.cli import main
 
 from conftest import benchmark_config, grid_best_response, random_affine_config
@@ -103,12 +103,12 @@ def test_criterion_04_fixed_m_forecast_decay():
     m, m_max = 20.0, 51.0
     theta = theta_of_m(m, m_max)
     beta = 0.5
-    state = SmoothingState(theta_hat=0.25, schedule=BetaSchedule.constant(beta))
-    e1 = abs(theta - state.theta_hat)
+    theta_hat = 0.25
+    e1 = abs(theta - theta_hat)
     worst = 0.0
     for k in range(1, 1000):
-        state = smoothing_update(state, theta, k)
-        worst = max(worst, abs(abs(theta - state.theta_hat) - (1 - beta) ** k * e1))
+        theta_hat = smoothing_update(theta_hat, theta, beta)
+        worst = max(worst, abs(abs(theta - theta_hat) - (1 - beta) ** k * e1))
     exact_ok = worst < 1e-12
 
     rng = np.random.default_rng(2024)
@@ -116,11 +116,11 @@ def test_criterion_04_fixed_m_forecast_decay():
     beta_min, beta_max = 0.3, 0.7
     for _ in range(3):
         schedule = BetaSchedule.from_sequence(rng.uniform(beta_min, beta_max, size=1000))
-        state = SmoothingState(theta_hat=float(rng.uniform(0, 1)), schedule=schedule)
-        e1 = abs(theta - state.theta_hat)
+        theta_hat = float(rng.uniform(0, 1))
+        e1 = abs(theta - theta_hat)
         for k in range(1, 1000):
-            state = smoothing_update(state, theta, k)
-            err = abs(theta - state.theta_hat)
+            theta_hat = smoothing_update(theta_hat, theta, schedule.at(k + 1))
+            err = abs(theta - theta_hat)
             lo = (1 - beta_max) ** k * e1 - 1e-15
             hi = (1 - beta_min) ** k * e1 + 1e-15
             envelope_ok = envelope_ok and lo <= err <= hi
@@ -159,24 +159,24 @@ def test_criterion_06_observer_closed_form():
     # a zero-payoff stream keeps round-off far below the tolerance out to 1e6
     zeros = np.zeros(2)
     m = e1
-    obs = LuenbergerState(m_hat=0.0, gain=(0.0, 0.0), k=1)
+    m_hat = 0.0
     worst_scaled = 0.0
     for k in range(1, 1_000_000):
         m = regret_update(m, 0.0, k, Scenario.baseline())
-        obs = luenberger_update(obs, 0.0, zeros, zeros)
-        err = (m - obs.m_hat) * (k + 1) - e1
+        m_hat = luenberger_update(m_hat, k, 0.0, zeros, zeros, zeros)
+        err = (m - m_hat) * (k + 1) - e1
         worst_scaled = max(worst_scaled, abs(err) / (k + 1))
     long_ok = worst_scaled < 1e-12
 
     rng = np.random.default_rng(7)
     m = 0.4 + e1
-    obs = LuenbergerState(m_hat=0.4, gain=(0.0, 0.0), k=1)
+    m_hat = 0.4
     noisy_ok = True
     for k in range(1, 10_000):
         u = float(rng.uniform(-5, 5))
         m = regret_update(m, u, k, Scenario.baseline())
-        obs = luenberger_update(obs, u, zeros, zeros)
-        noisy_ok = noisy_ok and abs((m - obs.m_hat) * (k + 1) - e1) < 1e-12 * (k + 1)
+        m_hat = luenberger_update(m_hat, k, u, zeros, zeros, zeros)
+        noisy_ok = noisy_ok and abs((m - m_hat) * (k + 1) - e1) < 1e-12 * (k + 1)
     ok = long_ok and noisy_ok
     _verdict(6, "observer closed form (zero gain)", ok,
              f"|e*k - e1|/k below 1e-12 up to 1e6 rounds (worst {worst_scaled:.2g}); "

@@ -116,6 +116,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError):
             _parse_estimator("kalman", 2)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_keys_take_yaml_booleans(self, tmp_path, value):
+        path = write_config(tmp_path, strict_increase=value, allow_small_m_max=value, m_max=60)
+        cfg = load_config(path)
+        assert cfg.latency.require_strict_increase is value
+        assert cfg.allow_small_m_max is value
+
+    @pytest.mark.parametrize("value", ["false", "no", [0], {"a": 1}])
+    def test_small_m_max_needs_a_true_override(self, tmp_path, value):
+        # bool() of each of these is true
+        path = write_config(tmp_path, m_max=10, m_init=0.0, allow_small_m_max=value)
+        with pytest.raises(ConfigurationError, match="allow_small_m_max must be true or false"):
+            load_config(path)
+        path = write_config(tmp_path, m_max=10, m_init=0.0, allow_small_m_max=True)
+        assert load_config(path).m_max == 10.0
+
     def test_beta_schedule_must_cover_rounds(self, tmp_path):
         path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=10)
         with pytest.raises(ConfigurationError, match="beta schedule has 3 entries"):
@@ -383,6 +399,11 @@ class TestCheckObedienceCommand:
         ("states", 5, "states must be a list of labels, got 5"),
         ("estimator", "luenberger=a", "estimator gain must be a number, got 'a'"),
         ("scenario", "discounted=a", "scenario discount must be a number, got 'a'"),
+        ("allow_small_m_max", "false", "allow_small_m_max must be true or false, got 'false'"),
+        ("allow_small_m_max", 1, "allow_small_m_max must be true or false, got 1"),
+        ("strict_increase", "no", "strict_increase must be true or false, got 'no'"),
+        ("strict_increase", [0], "strict_increase must be true or false, got [0]"),
+        ("strict_increase", {"a": 1}, "strict_increase must be true or false, got {'a': 1}"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])

@@ -313,14 +313,13 @@ class TestSimulate:
     def test_luenberger_estimator_tracks_regret(self, paper_config):
         cfg = replace(paper_config, estimator=LuenbergerSpec.from_scalar(0.0, 2), rounds=800)
         state = initial_state(cfg)
-        e1 = cfg.m_init - state.estimator_state.m_hat
+        e1 = cfg.m_init - state.m_hat
         records = []
         for _ in range(cfg.rounds):
             state, rec = step(cfg, state)
             records.append(rec)
             # zero-gain observer: estimation error decays exactly harmonically
-            assert (rec.m_next - state.estimator_state.m_hat) * state.k == pytest.approx(
-                e1, abs=1e-9)
+            assert (rec.m_next - state.m_hat) * state.k == pytest.approx(e1, abs=1e-9)
         assert records[-1].theta_hat == pytest.approx(records[-1].theta, abs=1e-2)
 
 
