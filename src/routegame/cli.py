@@ -61,12 +61,17 @@ def _parse_file(path) -> dict:
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``; a value that does not convert is a ConfigurationError naming ``name``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{name} must be {noun}, got {value!r}") from None
+    """``kind(value)``; a value that does not convert is a ConfigurationError naming ``name``.
+
+    A YAML boolean is not a number here, though ``float(True)`` is 1.0.
+    """
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 def _parse_scenario(value) -> Scenario:
@@ -92,7 +97,7 @@ def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
         return LuenbergerSpec.from_scalar(_convert(float, gain or 0.0, "estimator gain"), n)
     if isinstance(value, dict) and list(value) == ["luenberger"]:
         gain = value["luenberger"]
-        if isinstance(gain, (int, float)):
+        if isinstance(gain, (int, float)) and not isinstance(gain, bool):
             return LuenbergerSpec.from_scalar(float(gain), n)
         if not isinstance(gain, (list, tuple)):
             raise ConfigurationError(f"estimator gain must be a number or a list, got {gain!r}")

@@ -225,6 +225,12 @@ def step(config: GameConfig, state: SimulationState,
     its own projection, and later rounds skip projecting it until the solver
     iterates again.  While it stays fixed, each round's ``y`` is the same
     array as the last round's, never written in place.
+
+    Under dynamic nu the recommendation rows are rescaled each round.  The
+    best response reads every state's row, so a round with mass left to
+    respond rescales them all once, with :meth:`CompiledGame.signal_at`; at
+    nu = 1 there is none, and the round rescales only the drawn state's row,
+    with :meth:`CompiledGame.row_at`.  Both give the same bits.
     """
     game = CompiledGame.of(config) if state.game is None else state.game
     k = state.k
@@ -232,8 +238,13 @@ def step(config: GameConfig, state: SimulationState,
     theta = theta_of_m(state.m, game.m_max)
 
     # Under dynamic nu the participating mass follows the last round's theta.
-    pi, shift = game.signal_at(state.nu_current)
-    pi_w, shift_w = pi[omega], shift[omega]
+    # With no mass to best-respond, nothing reads the other states' rows.
+    if game.mass == 0.0:
+        pi = shift = None
+        pi_w, shift_w = game.row_at(omega, state.nu_current)
+    else:
+        pi, shift = game.signal_at(state.nu_current)
+        pi_w, shift_w = pi[omega], shift[omega]
     x = flows(pi_w, shift_w, theta)
     x_hat = flows(pi_w, shift_w, state.theta_hat)
     start = state.y_warm

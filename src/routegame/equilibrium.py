@@ -174,20 +174,21 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
     return _vi_margin(expected_latency(config, theta, np.maximum(y, 0.0)), y, mass)
 
 
-def best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
-                  start: np.ndarray | None = None, start_fixed: bool = False):
+def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray | None,
+                  theta: float, start: np.ndarray | None = None, start_fixed: bool = False):
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
     Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
-    the response mass is zero.  ``start`` is projected, not checked, unless
-    ``start_fixed`` says it is a float array whose projection onto the simplex
-    of mass ``game.mass`` has its own bytes; then it is used as is, which gives
-    the same bits, since the projection is a pure function.  A response that
-    certifies at iteration 0 is the start point itself, the same array.  The
-    step of :func:`_trial_step` is computed once the start point fails its
-    certificate.
+    the response mass is zero.  A zero mass reads neither ``pi`` nor
+    ``shift``, so a caller may pass None for both.  ``start`` is projected,
+    not checked, unless ``start_fixed`` says it is a float array whose
+    projection onto the simplex of mass ``game.mass`` has its own bytes; then
+    it is used as is, which gives the same bits, since the projection is a
+    pure function.  A response that certifies at iteration 0 is the start
+    point itself, the same array.  The step of :func:`_trial_step` is
+    computed once the start point fails its certificate.
     """
-    mass, n = game.mass, pi.shape[1]
+    mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
         return np.zeros(n), None, 0.0, 0
     coeffs = response_coeffs(game, pi, shift, theta)

@@ -118,10 +118,15 @@ def luenberger_update(m_hat: float, k: int, u: float, gain, latencies_observed,
             f"regret estimate and payoff difference must be finite, got {m_hat} and {u}")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigurationError(f"round index must be an integer >= 1, got {k!r}")
-    vectors = [np.asarray(v, dtype=float) for v in (gain, latencies_observed, latencies_predicted)]
+    message = "observer gain and latencies must be finite vectors of one length"
+    try:
+        vectors = [np.asarray(v, dtype=float)
+                   for v in (gain, latencies_observed, latencies_predicted)]
+    except (TypeError, ValueError):  # ragged nesting or a non-numeric entry
+        raise ConfigurationError(message) from None
     if (vectors[0].ndim != 1 or any(v.shape != vectors[0].shape for v in vectors)
             or not np.isfinite(np.concatenate(vectors)).all()):
-        raise ConfigurationError("observer gain and latencies must be finite vectors of one length")
+        raise ConfigurationError(message)
     return float(observe(m_hat, k, u, *vectors))
 
 

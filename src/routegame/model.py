@@ -443,8 +443,28 @@ class CompiledGame:
         )
 
     def signal_at(self, nu_current: float) -> tuple[np.ndarray, np.ndarray]:
-        """Recommendation rows and their shifts, proportionally rescaled to mass ``nu_current``."""
+        """Recommendation rows and their shifts, proportionally rescaled to mass ``nu_current``.
+
+        At the compiled mass these are the compiled arrays.  Otherwise each
+        shift row is :func:`rerouting_shift` of its rescaled row, written into
+        one preallocated array.
+        """
         pi = _rescaled(self.pi, self.nu, nu_current)
         if pi is self.pi:
             return self.pi, self.shift
-        return pi, np.stack([rerouting_shift(self.rerouting, row) for row in pi])
+        shift = np.empty_like(pi)
+        for w, row in enumerate(pi):
+            shift[w] = rerouting_shift(self.rerouting, row)
+        return pi, shift
+
+    def row_at(self, w: int, nu_current: float) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``w`` of :meth:`signal_at` and its shift, with the same bits, computed alone.
+
+        Scaling one row by a scalar gives the bits of that row of the scaled
+        matrix, and its shift is the same 1-D product, so a round that reads
+        one state's row need not rescale the others.
+        """
+        if nu_current == self.nu:
+            return self.pi[w], self.shift[w]
+        row = _rescaled(self.pi[w], self.nu, nu_current)
+        return row, rerouting_shift(self.rerouting, row)

@@ -404,6 +404,15 @@ class TestCheckObedienceCommand:
         ("strict_increase", "no", "strict_increase must be true or false, got 'no'"),
         ("strict_increase", [0], "strict_increase must be true or false, got [0]"),
         ("strict_increase", {"a": 1}, "strict_increase must be true or false, got {'a': 1}"),
+        # float(True) is 1.0, but a YAML boolean is not a number
+        ("rounds", True, "rounds must be an integer, got True"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("nu", True, "nu must be a number, got True"),
+        ("solver_tol", True, "solver_tol must be a number, got True"),
+        ("theta_hat_init", True, "theta_hat_init must be a number, got True"),
+        ("estimator", {"luenberger": True}, "estimator gain must be a number or a list, got True"),
+        ("estimator", {"luenberger": [True, 0]}, "estimator gain must be a number, got True"),
+        ("scenario", {"discounted": False}, "scenario discount must be a number, got False"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import routegame.dynamics as dynamics
 import routegame.equilibrium as equilibrium
+import routegame.model as model
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
                        TrajectoryRecord, UnidentifiableError, calibration_score, initial_state,
@@ -22,6 +23,7 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
 from routegame.cli import load_config
 from routegame.dynamics import trajectory_columns
 from routegame.estimators import envelope_series
+from routegame.model import CompiledGame, _rescaled, rerouting_shift
 
 from conftest import (AFFINE_COEFFS, affine_latency, benchmark_config, random_affine_config,
                       revealing_signal)
@@ -452,6 +454,16 @@ class TestTrajectoryColumns:
 COLUMNS = tuple(f.name for f in fields(Trajectory))[1:]  # every stored column, after rounds
 
 
+def step_loop(config: GameConfig) -> Trajectory:
+    """``config`` run round by round through ``step``, its records stacked into columns."""
+    state, records = initial_state(config), []
+    for _ in range(config.rounds):
+        state, record = step(config, state)
+        records.append(record)
+    columns = {name: np.array([getattr(r, name) for r in records]) for name in COLUMNS}
+    return Trajectory(rounds=range(1, config.rounds + 1), **columns)
+
+
 def projecting_step_loop(config: GameConfig) -> Trajectory:
     """Reference run: every round after the first projects its warm start again."""
     solve = dynamics.best_response
@@ -459,25 +471,23 @@ def projecting_step_loop(config: GameConfig) -> Trajectory:
     def projecting(game, pi, shift, theta, start, start_fixed=False):
         return solve(game, pi, shift, theta, start)
 
-    state, records = initial_state(config), []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "best_response", projecting)
-        for _ in range(config.rounds):
-            state, record = step(config, state)
-            records.append(record)
-    columns = {name: np.array([getattr(r, name) for r in records]) for name in COLUMNS}
-    return Trajectory(rounds=range(1, config.rounds + 1), **columns)
+        return step_loop(config)
 
 
 @st.composite
-def skip_games(draw):
-    """Seeded affine or cubic game with n in [2, 64], any scenario and either estimator."""
+def skip_games(draw, scenarios=st.sampled_from(sorted(SCENARIOS)), full=st.just(False)):
+    """Seeded affine or cubic game with n in [2, 64], a drawn scenario and either estimator.
+
+    nu is 1 when ``full`` draws true, else drawn from (0.2, 0.8).
+    """
     n, degree = draw(st.integers(2, 64)), draw(st.sampled_from([1, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = 2
     coeffs = [rng.uniform(0.0, 10.0, size=(s, n)), rng.uniform(1.0, 4.0, size=(s, n))]
     coeffs += [rng.uniform(0.0, 2.0, size=(s, n)) for _ in range(degree - 1)]
-    nu = float(rng.uniform(0.2, 0.8))
+    nu = 1.0 if draw(full) else float(rng.uniform(0.2, 0.8))
     pi = rng.dirichlet(np.ones(n), size=s) * nu
     estimator = draw(st.sampled_from(["smoothing", "luenberger", "luenberger_0.01"]))
     gain = float(estimator.partition("_")[2] or 0.0)
@@ -486,7 +496,7 @@ def skip_games(draw):
         latency=latency, prior=Prior([0.4, 0.6]),
         signal=Signal(pi=pi * (nu / pi.sum(axis=1, keepdims=True)), nu=nu),
         disobedience=DisobedienceMatrix.default(n),
-        scenario=SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))],
+        scenario=SCENARIOS[draw(scenarios)],
         m_init=draw(st.floats(-0.5, 0.5)) * float(latency.coeffs.max(axis=1).sum()),
         theta_hat_init=draw(st.floats(0.0, 1.0)),
         rounds=draw(st.integers(40, 200)), seed=draw(st.integers(0, 2**16)))
@@ -570,6 +580,67 @@ class TestWarmStartSkip:
                 fixed_rounds += 1
                 assert state.y_warm_fixed == (record.y is start)
         assert 0 < fixed_rounds < config.rounds
+
+
+def stacked_signal_at(game: CompiledGame, nu_current: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``signal_at``: the rescaled rows' shifts stacked from a list."""
+    pi = _rescaled(game.pi, game.nu, nu_current)
+    if pi is game.pi:
+        return game.pi, game.shift
+    return pi, np.stack([rerouting_shift(game.rerouting, row) for row in pi])
+
+
+def stacked_rows_loop(config: GameConfig) -> Trajectory:
+    """Reference run: every round takes its rows from :func:`stacked_signal_at`."""
+    def row_at(game, w, nu_current):
+        pi, shift = stacked_signal_at(game, nu_current)
+        return pi[w], shift[w]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompiledGame, "signal_at", stacked_signal_at)
+        patch.setattr(CompiledGame, "row_at", row_at)
+        return step_loop(config)
+
+
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestRowPath:
+    """Under dynamic nu a round with no best response rescales only the drawn state's row."""
+
+    @given(skip_games(scenarios=st.just("dynamic_nu"), full=st.booleans()),
+           st.lists(st.floats(0.0, 1.0), max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_row_path_never_moves_a_bit(self, config, masses):
+        got, want = simulate(config), stacked_rows_loop(config)
+        for column in COLUMNS:
+            assert same_bytes(getattr(got, column), getattr(want, column)), column
+        game = CompiledGame.of(config)
+        for v in (game.nu, 0.0, *masses):
+            pi, shift = game.signal_at(v)
+            pi_ref, shift_ref = stacked_signal_at(game, v)
+            assert same_bytes(pi, pi_ref) and same_bytes(shift, shift_ref), v
+            for w in range(pi.shape[0]):
+                row, row_shift = game.row_at(w, v)
+                assert same_bytes(row, pi[w]) and same_bytes(row_shift, shift[w]), (v, w)
+
+    @pytest.mark.parametrize("name, calls", [
+        ("paper_affine_nu1-dynamic_nu-luenberger", 51),  # 2 compiled, 1 per rescaled round
+        ("paper_affine-baseline-smoothing", 2),
+        ("cubic_n8-baseline-smoothing", 2),
+        ("paper_affine-dynamic_nu-smoothing", 98),       # the best response reads both rows
+    ])
+    def test_rerouting_shift_calls(self, monkeypatch, name, calls):
+        counted, shift = [], model.rerouting_shift
+
+        def counting(matrix, pi_w):
+            counted.append(pi_w)
+            return shift(matrix, pi_w)
+
+        monkeypatch.setattr(model, "rerouting_shift", counting)
+        simulate(replace(case(name)[0], rounds=50))
+        assert len(counted) == calls
 
 
 class TestMemory:

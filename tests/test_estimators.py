@@ -151,6 +151,10 @@ class TestLuenberger:
         (0.0, 1, 0.0, [0.0, 0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
         (0.0, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0]),
         (0.0, 1, 0.0, 0.0, 1.0, 1.0),
+        (0.0, 1, 0.0, [1.0, [2.0]], [1.0, 2.0], [1.0, 2.0]),
+        (0.0, 1, 0.0, [0.0, 0.0], [[1.0], 2.0], [1.0, 2.0]),
+        (0.0, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, [2.0, 3.0]]),
+        (0.0, 1, 0.0, [0.0, "a"], [1.0, 2.0], [1.0, 2.0]),
     ])
     def test_invalid_input_rejected(self, m_hat, k, u, gain, ell, ell_hat):
         with pytest.raises(ConfigurationError):
