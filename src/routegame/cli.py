@@ -32,6 +32,7 @@ OUT_DIR_ENV = "ROUTEGAME_OUT"
 # The optional numeric settings that GameConfig takes under their own names.
 _NUMBER_KEYS = {"m_max": float, "m_init": float, "theta_hat_init": float, "beta_min": float,
                 "beta_max": float, "solver_tol": float, "rounds": int, "seed": int}
+_ARRAY_KEYS = ("coeffs", "prior", "signal", "disobedience", "beta_schedule")
 _KNOWN_KEYS = {
     "links", "states", "degree", "coeffs", "prior", "nu", "signal", "disobedience",
     "allow_small_m_max", "beta", "beta_schedule", "scenario", "estimator", "strict_increase",
@@ -74,6 +75,19 @@ def _convert(kind, value, name: str):
     raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a YAML boolean is ``value`` or sits anywhere in its nested lists.
+
+    numpy would read ``true`` in an array as 1.0.  Each list's element types
+    are gathered in one pass in C, so the walk makes a Python call per nested
+    list, not per entry.
+    """
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or list in kinds and any(map(_holds_bool, value))
+
+
 def _parse_scenario(value) -> Scenario:
     if isinstance(value, str):
         name = value.replace("-", "_")
@@ -110,6 +124,9 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     for key in ("states", "coeffs", "prior", "nu", "signal"):
         if key not in raw:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
+    for key in _ARRAY_KEYS:
+        if key in raw and _holds_bool(raw[key]):
+            raise ConfigurationError(f"{path}: {key} must hold numbers, got a boolean")
 
     def number(key: str, kind=float):
         return _convert(kind, raw[key], f"{path}: {key}")

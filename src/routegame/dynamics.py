@@ -15,8 +15,6 @@ calibration score read the columns.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from bisect import bisect_right
@@ -342,18 +340,26 @@ def trajectory_columns(n: int, with_envelope: bool = False) -> list[str]:
 
 
 def _csv_cell(text: str) -> str:
-    """``text`` as csv.writer writes it among the fields of a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[:-len(",\r\n")]
+    """``text`` as one field of a CSV row, quoted as RFC 4180 quotes it.
+
+    A field that holds a comma, a double quote, CR or LF is wrapped in double
+    quotes, with each double quote doubled; any other text is written as it
+    is, so the bytes do not depend on the Python version.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
                          with_envelope: bool = False) -> None:
-    """One row per round, floats at 17 significant digits.
+    """One row per round, floats at 17 significant digits, every row ending in CRLF.
 
-    Envelope columns require the smoothing estimator; the bracket is rebuilt
-    from the first round's forecast error and the configured weight schedule.
+    Each state label is written by :func:`_csv_cell`; no other cell needs
+    quoting.  Envelope columns require the smoothing estimator and a trajectory
+    that holds every round from round 1 on, such as a prefix of a run: the
+    bracket is rebuilt from round 1's forecast error and the configured weight
+    schedule.  A slice of any other rounds exports without them.
     """
     if not len(trajectory):
         raise ConfigurationError("cannot export an empty trajectory")
@@ -362,12 +368,15 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
     if with_envelope:
         if not isinstance(config.estimator, SmoothingSpec):
             raise ConfigurationError("envelope columns are defined for the smoothing estimator only")
+        if trajectory.rounds.start != 1 or trajectory.rounds.step != 1:
+            raise ConfigurationError("envelope columns need every round from round 1 on, "
+                                     f"got {trajectory.rounds}")
         bounds = envelope_series(len(trajectory), trajectory[0].e_theta, config.beta_min,
                                  config.estimator.schedule)
 
     # Each block of rows is filled into its rows' %-templates at once; "%.17g"
-    # prints a float as format(v, ".17g") does.  The state labels are quoted
-    # once, by csv itself.  A block holds about _BLOCK_CELLS cells however wide
+    # prints a float as format(v, ".17g") does.  Each state label is quoted
+    # once, up front.  A block holds about _BLOCK_CELLS cells however wide
     # the rows are, so the text in flight stays small.
     columns = trajectory_columns(n, with_envelope)
     template = "%d,%s," + ",".join(["%.17g"] * (len(columns) - 2)) + "\r\n"
@@ -375,7 +384,7 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
     rows_per_block = max(1, _BLOCK_CELLS // len(columns))
 
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(columns)
+        fh.write(",".join(columns) + "\r\n")  # column names never need quoting
         for start in range(0, len(trajectory), rows_per_block):
             rows = slice(start, start + rows_per_block)
             b = trajectory[rows]

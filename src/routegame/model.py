@@ -19,6 +19,7 @@ the same bits.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,8 +293,8 @@ class GameConfig:
                 "disobedience fraction, and a signal of nu = 0 has no mass to rescale")
         default_cap = m_max_default(lat)
         m_max = default_cap if self.m_max is None else float(self.m_max)
-        if m_max <= 0:
-            raise ConfigurationError(f"m_max must be positive, got {m_max}")
+        if not 0.0 < m_max < math.inf:  # NaN fails too
+            raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
         if m_max < default_cap - INPUT_TOL:
             if not self.allow_small_m_max:
                 raise ConfigurationError(
@@ -323,12 +324,14 @@ class GameConfig:
                 logger.warning("nonzero observer gain: stability unanalyzed")
         else:
             raise ConfigurationError(f"unknown estimator spec {type(self.estimator).__name__}")
-        if self.solver_tol <= 0:
-            raise ConfigurationError(f"solver_tol must be positive, got {self.solver_tol}")
+        if not 0.0 < self.solver_tol < math.inf:  # NaN fails too
+            raise ConfigurationError(f"solver_tol must be finite and positive, got {self.solver_tol}")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigurationError(f"seed must be an integer, got {type(self.seed).__name__}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:

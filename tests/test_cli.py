@@ -338,6 +338,12 @@ class TestSimulateCommand:
         assert rc == 0
         assert len(calls) == builds
 
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "5", "--seed", "-1",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path)])
@@ -384,6 +390,14 @@ class TestCheckObedienceCommand:
     @pytest.mark.parametrize("field, value, message", [
         ("coeffs", [[[5, 25], [20]], [[4, 2], [1, 2]]], "error: latency coefficients must be"),
         ("signal", [[0.5, "x"], [0.0, 0.5]], "error: signal must be"),
+        # numpy reads a YAML boolean in an array as 1.0 or 0.0
+        ("signal", [[True, False], [False, True]], "signal must hold numbers, got a boolean"),
+        ("coeffs", [[[5, 25], [20, 15]], [[4, 2], [True, 2]]],
+         "coeffs must hold numbers, got a boolean"),
+        ("prior", [0.6, True], "prior must hold numbers, got a boolean"),
+        ("disobedience", [[False, True], [True, False]],
+         "disobedience must hold numbers, got a boolean"),
+        ("beta_schedule", [0.5, True], "beta_schedule must hold numbers, got a boolean"),
     ])
     def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])

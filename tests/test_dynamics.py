@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 import tracemalloc
 from dataclasses import fields, replace
@@ -399,6 +400,46 @@ class TestTrajectoryCsv:
         reference_trajectory_csv(tmp_path / "ref.csv", trajectory, config, with_envelope=envelope)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    # Literal bytes, with no csv call: the rule is RFC 4180's on every Python,
+    # where 3.10's csv raises on a NUL and 3.11's writes it as it is.
+    @pytest.mark.parametrize("labels, cells", [
+        (("a\0b", "\tt\t"), ("a\0b", "\tt\t")),
+        ((" s ", "a,b"), (" s ", '"a,b"')),
+        (('q"t', "cr\r"), ('"q""t"', '"cr\r"')),
+        (("", "lf\n"), ("", '"lf\n"')),
+    ])
+    def test_label_cells(self, labels, cells, tmp_path):
+        config = labelled_config(labels, rounds=30, seed=5)
+        trajectory = simulate(config)
+        write_trajectory_csv(tmp_path / "run.csv", trajectory, config)
+        data = (tmp_path / "run.csv").read_bytes()
+        header = ",".join(trajectory_columns(2)) + "\r\n"
+        assert data.startswith(header.encode())
+        assert set(trajectory.omega.tolist()) == {0, 1}
+        for k, w in zip(trajectory.k.tolist(), trajectory.omega.tolist()):
+            assert f"\r\n{k},{cells[w]},".encode() in data, (k, w)
+
+    @given(st.text(st.one_of(st.sampled_from(',"\r\n \t'), st.characters(exclude_characters="\0"))))
+    @settings(max_examples=300, deadline=None)
+    def test_cell_matches_csv_writer(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        assert dynamics._csv_cell(text) == buf.getvalue()[:-len(",\r\n")]
+
+    def test_envelope_needs_the_run_from_round_1(self, tmp_path):
+        config = replace(load_config(PAPER_CONFIG), rounds=20)
+        trajectory = simulate(config)
+        for part in (trajectory[10:], trajectory[::2]):
+            with pytest.raises(ConfigurationError, match="from round 1 on"):
+                write_trajectory_csv(tmp_path / "part.csv", part, config, with_envelope=True)
+        for envelope, rows in ((True, slice(0, 10)), (False, slice(10, 20))):
+            write_trajectory_csv(tmp_path / "full.csv", trajectory, config, with_envelope=envelope)
+            write_trajectory_csv(tmp_path / "part.csv", trajectory[rows], config,
+                                 with_envelope=envelope)
+            lines = (tmp_path / "full.csv").read_bytes().splitlines(keepends=True)
+            want = b"".join(lines[:1] + lines[1:][rows])
+            assert (tmp_path / "part.csv").read_bytes() == want
+
 
 def assert_same_record(got: TrajectoryRecord, want: TrajectoryRecord) -> None:
     """Every field holds the same dtype, shape and bits."""
@@ -661,7 +702,7 @@ class TestMemory:
         assert held <= 200 * config.rounds, held / config.rounds
 
     @pytest.mark.parametrize("name", ["paper_affine_envelope", "cubic_n32"])
-    def test_export_adds_under_256_kib_of_peak(self, name, tmp_path):
+    def test_export_adds_under_192_kib_of_peak(self, name, tmp_path):
         if name == "cubic_n32":
             config, envelope = cubic_config(n=32), False
         else:
@@ -675,4 +716,4 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "run.csv").stat().st_size > 256 * 1024  # a buffered file would show
-        assert peak < 256 * 1024, peak
+        assert peak < 192 * 1024, peak

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,20 @@ class TestValidation:
         with caplog.at_level(logging.WARNING, logger="routegame.model"):
             benchmark_config(m_max=10.0, m_init=0.0, allow_small_m_max=True)
         assert any("m_max" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be nonnegative"),
+        ("solver_tol", math.nan, "solver_tol must be finite and positive"),
+        ("solver_tol", math.inf, "solver_tol must be finite and positive"),
+        ("solver_tol", 0.0, "solver_tol must be finite and positive"),
+        ("m_max", math.nan, "m_max must be finite and positive"),
+        ("m_max", math.inf, "m_max must be finite and positive"),
+        ("m_max", -1.0, "m_max must be finite and positive"),
+    ])
+    def test_setting_out_of_range_rejected(self, key, value, message):
+        from conftest import benchmark_config
+        with pytest.raises(ConfigurationError, match=message):
+            benchmark_config(**{key: value})
 
     def test_zero_nu_rejected_with_dynamic_nu(self):
         from conftest import benchmark_config
