@@ -244,6 +244,9 @@ def cmd_simulate(args) -> int:
             raw[key] = getattr(args, key)
     config = _build_config(raw, str(args.config))
     seeds = args.seed if args.seed else [config.seed]
+    # Every seed is validated before the first file is written.
+    run_configs = [config if seed == config.seed else replace(config, seed=seed)
+                   for seed in seeds]
 
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,8 +255,7 @@ def cmd_simulate(args) -> int:
         yaml.dump(config_to_dict(config), fh, Dumper=_Dumper, sort_keys=False)
 
     runs = []
-    for idx, seed in enumerate(seeds):
-        run_config = config if seed == config.seed else replace(config, seed=seed)
+    for idx, (seed, run_config) in enumerate(zip(seeds, run_configs)):
         started = time.perf_counter()
         trajectory = simulate(run_config)
         csv_path = out_dir / f"run{idx:03d}_seed{seed}.csv"

@@ -24,14 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .equilibrium import best_response
-from .errors import ConfigurationError, SolverError, UnidentifiableError
+from .errors import ConfigurationError, SolverError
 from .estimators import SmoothingSpec, envelope_series, observe, smooth
 from .model import (CompiledGame, GameConfig, Scenario, Signal, _check_state_index,
-                    _link_vector, flows, poly_rows, rerouting_shift)
+                    _link_vector, flows, poly_rows)
 
 logger = logging.getLogger(__name__)
 
-_COEFF_TOL = 1e-12  # below this, flows carry no disobedience information
 _BLOCK_CELLS = 1024  # CSV cells converted to text per block of rows
 
 
@@ -160,31 +159,9 @@ def regret_update(m: float, u: float, k: int, scenario: Scenario) -> float:
 
 def theta_of_m(m: float, m_max: float) -> float:
     """Disobeying fraction implied by the aggregate regret; clamp is a safety net."""
-    if m_max <= 0:
-        raise ConfigurationError(f"m_max must be positive, got {m_max}")
+    if not 0.0 < m_max < math.inf:  # NaN fails too
+        raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
     return min(max(m, 0.0) / m_max, 1.0)
-
-
-def recover_theta(config: GameConfig, observed_total_flows: np.ndarray, omega: int,
-                  y_known: np.ndarray) -> float:
-    """Invert the flow map: infer the disobedience fraction from total link flows.
-
-    Least squares on the links whose flows respond to theta; raises when no
-    link does (e.g. a uniform signal with uniform rerouting).
-    """
-    if not config.latency.is_strictly_increasing:
-        raise ConfigurationError("theta recovery requires strictly increasing latencies")
-    n = config.latency.n
-    _check_state_index(omega, config.latency.num_states)
-    x = (_link_vector(observed_total_flows, n, "observed total flows")
-         - _link_vector(y_known, n, "known response"))
-    pi_w = config.signal.pi[omega]
-    coeff = rerouting_shift(config.disobedience.matrix, pi_w)
-    scale = float(np.abs(coeff).max())
-    if scale <= _COEFF_TOL:
-        raise UnidentifiableError(
-            f"state {omega}: rerouting leaves the recommendation flows unchanged")
-    return float(coeff @ (x - pi_w) / (coeff @ coeff))
 
 
 def initial_state(config: GameConfig) -> SimulationState:
@@ -247,8 +224,8 @@ def step(config: GameConfig, state: SimulationState,
     x_hat = flows(pi_w, shift_w, state.theta_hat)
     start = state.y_warm
     try:
-        y, _, _, iterations = best_response(game, pi, shift, state.theta_hat, start,
-                                            state.y_warm_fixed)
+        y, _, iterations = best_response(game, pi, shift, state.theta_hat, start,
+                                         state.y_warm_fixed)
     except SolverError as exc:
         raise SolverError(f"round {k}: {exc}", last_iterate=exc.last_iterate,
                           vi_margin=exc.vi_margin, iterations=exc.iterations) from exc
@@ -383,7 +360,7 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
     labels = np.array([_csv_cell(label) for label in config.latency.states], dtype=object)
     rows_per_block = max(1, _BLOCK_CELLS // len(columns))
 
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")  # column names never need quoting
         for start in range(0, len(trajectory), rows_per_block):
             rows = slice(start, start + rows_per_block)

@@ -30,7 +30,6 @@ class BestResponse:
 
     y: np.ndarray
     theta: float
-    potential_value: float
     vi_margin: float
     iterations: int
 
@@ -38,7 +37,6 @@ class BestResponse:
         return {
             "y": [float(v) for v in self.y],
             "theta": self.theta,
-            "potential_value": self.potential_value,
             "vi_margin": self.vi_margin,
             "iterations": self.iterations,
         }
@@ -178,19 +176,18 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
                   theta: float, start: np.ndarray | None = None, start_fixed: bool = False):
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
 
-    Returns ``(y, coeffs, vi_margin, iterations)``; ``coeffs`` is None when
-    the response mass is zero.  A zero mass reads neither ``pi`` nor
-    ``shift``, so a caller may pass None for both.  ``start`` is projected,
-    not checked, unless ``start_fixed`` says it is a float array whose
-    projection onto the simplex of mass ``game.mass`` has its own bytes; then
-    it is used as is, which gives the same bits, since the projection is a
-    pure function.  A response that certifies at iteration 0 is the start
-    point itself, the same array.  The step of :func:`_trial_step` is
-    computed once the start point fails its certificate.
+    Returns ``(y, vi_margin, iterations)``.  A zero response mass reads
+    neither ``pi`` nor ``shift``, so a caller may pass None for both.
+    ``start`` is projected, not checked, unless ``start_fixed`` says it is a
+    float array whose projection onto the simplex of mass ``game.mass`` has
+    its own bytes; then it is used as is, which gives the same bits, since the
+    projection is a pure function.  A response that certifies at iteration 0
+    is the start point itself, the same array.  The step of
+    :func:`_trial_step` is computed once the start point fails its certificate.
     """
     mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
-        return np.zeros(n), None, 0.0, 0
+        return np.zeros(n), 0.0, 0
     coeffs = response_coeffs(game, pi, shift, theta)
     if start is None:
         y = np.full(n, mass / n)
@@ -204,7 +201,7 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
         grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -tol:
-            return y, coeffs, margin, it
+            return y, margin, it
         if it == 0:
             t = _trial_step(coeffs, mass)
         y_new = project_simplex(y - t * grad, mass)
@@ -229,12 +226,11 @@ def solve_bwe(config: GameConfig, theta: float, *,
     if start is not None:
         start = _link_vector(start, config.latency.n, "start")
     if config.signal.nu == 1.0:  # nothing to respond with; skip compiling the game
-        return BestResponse(y=np.zeros(config.latency.n), theta=theta, potential_value=0.0,
-                            vi_margin=0.0, iterations=0)
+        return BestResponse(y=np.zeros(config.latency.n), theta=theta, vi_margin=0.0,
+                            iterations=0)
     game = CompiledGame.of(config)
-    y, coeffs, margin, it = best_response(game, game.pi, game.shift, theta, start)
-    return BestResponse(y=y, theta=theta, potential_value=_potential_from_coeffs(coeffs, y),
-                        vi_margin=margin, iterations=it)
+    y, margin, it = best_response(game, game.pi, game.shift, theta, start)
+    return BestResponse(y=y, theta=theta, vi_margin=margin, iterations=it)
 
 
 def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceReport:
@@ -267,16 +263,3 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
         nash_slacks=nash,
         tol=tol,
     )
-
-
-def lipschitz_estimate(config: GameConfig, grid_size: int) -> float:
-    """Largest L1 slope of the best-response map over a uniform theta grid."""
-    if grid_size < 2:
-        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size}")
-    thetas = np.linspace(0.0, 1.0, grid_size)
-    responses = [solve_bwe(config, float(t)).y for t in thetas]
-    diffs = [
-        float(np.abs(responses[i + 1] - responses[i]).sum()) / (thetas[i + 1] - thetas[i])
-        for i in range(grid_size - 1)
-    ]
-    return max(diffs)

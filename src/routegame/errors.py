@@ -33,7 +33,3 @@ class SolverError(RuntimeError):
         self.last_iterate = last_iterate
         self.vi_margin = vi_margin
         self.iterations = iterations
-
-
-class UnidentifiableError(ValueError):
-    """The observed flows carry no information about the disobedience fraction."""

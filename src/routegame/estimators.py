@@ -130,14 +130,6 @@ def luenberger_update(m_hat: float, k: int, u: float, gain, latencies_observed,
     return float(observe(m_hat, k, u, *vectors))
 
 
-def delta_tilde(k: int, beta_min: float) -> float:
-    """Accumulated harmonic drift sum_{t=2..k} (1 - beta_min)^(k-t) / t."""
-    if k < 2:
-        return 0.0
-    t = np.arange(2, k + 1, dtype=float)
-    return float(np.sum((1.0 - beta_min) ** (k - t) / t))
-
-
 def envelope_series(num_rounds: int, e1: float, beta_min: float,
                     beta_schedule: BetaSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Envelope for k = 1..num_rounds via the exact recursions.

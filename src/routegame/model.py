@@ -69,8 +69,7 @@ class LatencyModel:
     constant and linear coefficients must be nonnegative.  When
     ``require_strict_increase`` is set, every (state, link) pair must have a
     positive coefficient of degree >= 1; the best-response map is only unique
-    under that condition, and flow-based recovery of the disobedience fraction
-    relies on it too.
+    under that condition.
     """
 
     states: tuple[str, ...]
@@ -167,20 +166,13 @@ class Signal:
             w = int(bad[0])
             raise SignalRowError(w, float(sums[w]), self.nu)
 
-    def with_mass(self, target: float) -> "Signal":
-        """Proportionally rescale every row to the given mass."""
-        _check_unit_interval(target, "target mass")
-        pi = _rescaled(self.pi, self.nu, target)
-        return self if pi is self.pi else Signal(pi=pi, nu=target)
-
 
 def _rescaled(pi: np.ndarray, nu: float, target: float) -> np.ndarray:
-    """Rows of mass nu proportionally rescaled to mass target; ``pi`` itself if unchanged."""
-    if target == nu:
-        return pi
-    if nu == 0.0:
-        raise ConfigurationError("cannot rescale a zero-mass signal to positive mass")
-    return pi * (target / nu)
+    """Rows of mass nu proportionally rescaled to mass target; ``pi`` itself if unchanged.
+
+    Only dynamic nu rescales, and :class:`GameConfig` rejects it at nu = 0.
+    """
+    return pi if target == nu else pi * (target / nu)
 
 
 @dataclass(frozen=True)

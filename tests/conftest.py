@@ -104,3 +104,14 @@ def random_affine_config(rng: np.random.Generator, n: int, s: int = 2,
         signal=Signal(pi=pi, nu=nu),
         disobedience=DisobedienceMatrix(P),
     )
+
+
+def delta_tilde(k: int, beta_min: float) -> float:
+    """Accumulated harmonic drift sum_{t=2..k} (1 - beta_min)^(k-t) / t, in closed form.
+
+    The reference for the drift that ``envelope_series`` accumulates by recursion.
+    """
+    if k < 2:
+        return 0.0
+    t = np.arange(2, k + 1, dtype=float)
+    return float(np.sum((1.0 - beta_min) ** (k - t) / t))

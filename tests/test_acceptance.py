@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from routegame import (BetaSchedule, Scenario, check_obedience, envelope_series,
-                       expected_latency, calibration_score, delta_tilde, luenberger_update,
-                       potential, regret_update, simulate, smoothing_update, solve_bwe,
-                       theta_of_m, verify_vi)
+                       expected_latency, calibration_score, luenberger_update, potential,
+                       regret_update, simulate, smoothing_update, solve_bwe, theta_of_m,
+                       verify_vi)
 from routegame.cli import main
 
-from conftest import benchmark_config, grid_best_response, random_affine_config
+from conftest import benchmark_config, delta_tilde, grid_best_response, random_affine_config
 
 SEEDS = list(range(10))
 ROUNDS = 5000

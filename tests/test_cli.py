@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -344,6 +347,27 @@ class TestSimulateCommand:
         assert rc == 1
         assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
 
+    def test_bad_later_seed_writes_nothing(self, tmp_path, capsys):
+        # every seed is checked before the first artifact, so no run lacks a manifest
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "5", "--seed", "1",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_ascii_label_exports_utf8_under_c_locale(self, tmp_path):
+        config = write_config(tmp_path, states=["café", "omega2"], rounds=20)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run([sys.executable, "-m", "routegame.cli", "simulate", "--config",
+                               str(config), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        data = (tmp_path / "out" / "run000_seed0.csv").read_bytes()
+        assert data.count(b"\r\n") == 21
+        assert ",café,".encode() in data
+
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path)])
@@ -385,6 +409,7 @@ class TestCheckObedienceCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["obedient"] is True
         assert report["y0"]["y"] == pytest.approx([0.5, 0.0], abs=1e-8)
+        assert set(report["y0"]) == {"y", "theta", "vi_margin", "iterations"}
         assert len(report["obedience_slacks"]) == 2
 
     @pytest.mark.parametrize("field, value, message", [

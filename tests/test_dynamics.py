@@ -18,16 +18,14 @@ import routegame.equilibrium as equilibrium
 import routegame.model as model
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
-                       TrajectoryRecord, UnidentifiableError, calibration_score, initial_state,
-                       instantaneous_regret, p_flows, recover_theta, regret_update, simulate,
-                       step, theta_of_m, write_trajectory_csv)
+                       TrajectoryRecord, calibration_score, initial_state, instantaneous_regret,
+                       p_flows, regret_update, simulate, step, theta_of_m, write_trajectory_csv)
 from routegame.cli import load_config
 from routegame.dynamics import trajectory_columns
 from routegame.estimators import envelope_series
 from routegame.model import CompiledGame, _rescaled, rerouting_shift
 
-from conftest import (AFFINE_COEFFS, affine_latency, benchmark_config, random_affine_config,
-                      revealing_signal)
+from conftest import AFFINE_COEFFS, benchmark_config, revealing_signal
 from test_golden import DIGESTS, SCENARIOS, case, cubic_config
 
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
@@ -134,64 +132,10 @@ class TestThetaOfM:
     def test_clamp_is_safety_net(self):
         assert theta_of_m(120.0, 51.0) == 1.0
 
-
-class TestRecoverTheta:
-    def test_round_trip(self):
-        cfg = benchmark_config()
-        cfg = replace(cfg, latency=LatencyModel(states=cfg.latency.states,
-                                                coeffs=cfg.latency.coeffs,
-                                                require_strict_increase=True))
-        theta = 0.37
-        y = np.array([0.4, 0.1])
-        f = p_flows(cfg.signal, cfg.disobedience, theta, 0) + y
-        assert recover_theta(cfg, f, 0, y) == pytest.approx(theta, abs=1e-10)
-
-    def test_obedient_flows_recover_zero(self):
-        cfg = benchmark_config()
-        f = p_flows(cfg.signal, cfg.disobedience, 0.0, 1) + np.array([0.5, 0.0])
-        assert recover_theta(cfg, f, 1, np.array([0.5, 0.0])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trips_random_instances(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            cfg = random_affine_config(rng, int(rng.integers(2, 5)))
-            theta = float(rng.uniform(0, 1))
-            omega = int(rng.integers(0, cfg.latency.num_states))
-            y = rng.uniform(0, 0.5, size=cfg.latency.n)
-            f = p_flows(cfg.signal, cfg.disobedience, theta, omega) + y
-            assert recover_theta(cfg, f, omega, y) == pytest.approx(theta, abs=1e-10)
-
-    def test_recovers_theta_along_a_trajectory(self, paper_config):
-        # observers who know the response and total flows can back out the
-        # disobeying fraction every round
-        cfg = replace(paper_config, rounds=200)
-        for rec in simulate(cfg):
-            got = recover_theta(cfg, rec.x + rec.y, rec.omega, rec.y)
-            assert got == pytest.approx(rec.theta, abs=1e-10)
-
-    def test_uniform_signal_uniform_rerouting_unidentifiable(self):
-        cfg = GameConfig(
-            latency=LatencyModel(states=("only",), coeffs=[[[1.0] * 3], [[1.0] * 3]]),
-            prior=Prior([1.0]),
-            signal=Signal(pi=[[0.2, 0.2, 0.2]], nu=0.6),
-            disobedience=DisobedienceMatrix.default(3))
-        with pytest.raises(UnidentifiableError):
-            recover_theta(cfg, np.full(3, 1.0 / 3), 0, np.zeros(3))
-
-    def test_requires_strict_increase(self):
-        cfg = equal_constant_config()
-        with pytest.raises(ConfigurationError):
-            recover_theta(cfg, np.array([0.5, 0.5]), 0, np.zeros(2))
-
-    @pytest.mark.parametrize("f, omega, y", [
-        ([0.6, 0.4], -1, [0.5, 0.0]), ([0.6, 0.4], 2, [0.5, 0.0]), ([0.6, 0.4], 0.0, [0.5, 0.0]),
-        ([0.6, 0.4, 0.0], 0, [0.5, 0.0]), ([0.6, 0.4], 0, [0.5]),
-        ([0.6, np.inf], 0, [0.5, 0.0]), ([0.6, 0.4], 0, [np.nan, 0.0])])
-    def test_bad_state_or_vectors_rejected(self, f, omega, y):
-        # -1 used to read the last state's row and return 0.6
-        cfg = benchmark_config(latency=affine_latency(require_strict_increase=True))
-        with pytest.raises(ConfigurationError):
-            recover_theta(cfg, np.array(f), omega, np.array(y))
+    @pytest.mark.parametrize("m_max", [np.nan, np.inf, 0.0, -1.0])
+    def test_m_max_must_be_finite_and_positive(self, m_max):
+        with pytest.raises(ConfigurationError, match="m_max must be finite and positive"):
+            theta_of_m(5.0, m_max)
 
 
 class TestStep:
@@ -583,7 +527,7 @@ class TestWarmStartSkip:
 
         def counted(*args):
             out = solve(*args)
-            iterations.append(out[3])
+            iterations.append(out[2])
             return out
 
         monkeypatch.setattr(dynamics, "best_response", counted)

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 import routegame.equilibrium as equilibrium
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
-                       Signal, SolverError, check_obedience, expected_latency, lipschitz_estimate,
-                       potential, project_simplex, simulate, solve_bwe, verify_vi)
+                       Signal, SolverError, check_obedience, expected_latency, potential,
+                       project_simplex, simulate, solve_bwe, verify_vi)
 from routegame.equilibrium import (_potential_from_coeffs, _trial_step, _vi_margin,
                                    best_response, response_coeffs)
 from routegame.model import CompiledGame, poly_rows
@@ -34,7 +34,7 @@ def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, 
     """
     mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
-        return np.zeros(n), None, 0.0, 0
+        return np.zeros(n), 0.0, 0
     coeffs = response_coeffs(game, pi, shift, theta)
     y = np.full(n, mass / n) if start is None else project_simplex(start, mass)
     phi = t_init = None
@@ -43,7 +43,7 @@ def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, 
         grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -game.solver_tol:
-            return y, coeffs, margin, it
+            return y, margin, it
         if phi is None:
             phi = _potential_from_coeffs(coeffs, y)
             t_init = _trial_step(coeffs, mass)
@@ -71,7 +71,7 @@ def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, 
 def _outcome(solver, *args):
     """``(error message or None, y, vi_margin, iterations)`` of a solver call."""
     try:
-        y, _, margin, it = solver(*args)
+        y, margin, it = solver(*args)
         return None, y, margin, it
     except SolverError as exc:
         return str(exc), exc.last_iterate, exc.vi_margin, exc.iterations
@@ -337,7 +337,12 @@ class TestSolveBwe:
         br = solve_bwe(cfg, 0.2)
         for _ in range(100):
             y = rng.dirichlet(np.ones(3)) * mass
-            assert br.potential_value <= potential(cfg, 0.2, y) + 1e-10
+            assert potential(cfg, 0.2, br.y) <= potential(cfg, 0.2, y) + 1e-10
+
+    def test_corner_locked_region_is_flat(self, paper_config):
+        responses = [solve_bwe(paper_config, t).y for t in (0.0, 0.05, 0.1)]
+        for a, b in zip(responses, responses[1:]):
+            assert np.abs(a - b).max() <= 1e-9
 
     def test_no_participation_gives_wardrop_regardless_of_theta(self):
         cfg = GameConfig(
@@ -443,37 +448,3 @@ class TestObedience:
             report = check_obedience(cfg)
             assert report.obedient == brute_force_obedience(cfg, report.y0.y, report.tol)
 
-
-class TestLipschitzEstimate:
-    def test_constant_latencies_flat(self):
-        cfg = GameConfig(
-            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]]]),
-            prior=Prior([1.0]),
-            signal=Signal(pi=[[0.25, 0.25]], nu=0.5),
-            disobedience=DisobedienceMatrix.default(2))
-        assert lipschitz_estimate(cfg, 21) == pytest.approx(0.0, abs=1e-9)
-
-    def test_interior_response_has_unit_slope(self):
-        # identical affine links, revealing signal: the interior response is
-        # y1 = theta / 2, so the L1 slope of theta -> y is exactly 1
-        cfg = GameConfig(
-            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 1.0]], [[2.0, 2.0]]]),
-            prior=Prior([1.0]),
-            signal=Signal(pi=[[0.5, 0.0]], nu=0.5),
-            disobedience=DisobedienceMatrix.default(2))
-        assert lipschitz_estimate(cfg, 51) == pytest.approx(1.0, rel=1e-4)
-
-    def test_benchmark_stable_under_refinement(self, paper_config):
-        coarse = lipschitz_estimate(paper_config, 101)
-        fine = lipschitz_estimate(paper_config, 201)
-        assert np.isfinite(coarse) and np.isfinite(fine)
-        assert abs(fine - coarse) <= 0.1 * max(abs(coarse), abs(fine), 1e-12)
-
-    def test_corner_locked_region_is_flat(self, paper_config):
-        responses = [solve_bwe(paper_config, t).y for t in (0.0, 0.05, 0.1)]
-        for a, b in zip(responses, responses[1:]):
-            assert np.abs(a - b).max() <= 1e-9
-
-    def test_grid_size_validation(self, paper_config):
-        with pytest.raises(ConfigurationError):
-            lipschitz_estimate(paper_config, 1)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, SmoothingSpec, delta_tilde,
-                       envelope_series, eval_latency, luenberger_update, simulate,
-                       smoothing_update, theta_of_m)
+from routegame import (BetaSchedule, ConfigurationError, SmoothingSpec, envelope_series,
+                       eval_latency, luenberger_update, simulate, smoothing_update, theta_of_m)
 
-from conftest import benchmark_config
+from conftest import benchmark_config, delta_tilde
 from test_dynamics import skip_games
 
 

@@ -12,7 +12,7 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
                        p_flows)
 from routegame.model import CompiledGame, flows, poly_rows
 
-from conftest import affine_latency
+from conftest import affine_latency, benchmark_config
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -201,14 +201,11 @@ class TestValidation:
         Signal(pi=[[0.4, 0.6]], nu=1.0)
 
     def test_signal_rescaling(self):
-        sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
-        scaled = sig.with_mass(0.25)
-        assert scaled.pi[0] == pytest.approx([0.15, 0.1], abs=1e-15)
-        assert sig.with_mass(0.5) is sig
-        zero = Signal(pi=[[0.0, 0.0]], nu=0.0)
-        assert zero.with_mass(0.0) is zero
-        with pytest.raises(ConfigurationError):
-            zero.with_mass(0.5)
+        sig = Signal(pi=[[0.3, 0.2], [0.0, 0.5]], nu=0.5)
+        game = CompiledGame.of(benchmark_config(signal=sig))
+        assert game.signal_at(0.25)[0][0] == pytest.approx([0.15, 0.1], abs=1e-15)
+        pi, shift = game.signal_at(0.5)
+        assert pi is game.pi and shift is game.shift
 
     def test_disobedience_invariants(self):
         with pytest.raises(ConfigurationError):
