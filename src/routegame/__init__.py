@@ -3,23 +3,20 @@
 __version__ = "0.1.0"
 
 from .dynamics import (SimulationState, Trajectory, TrajectoryRecord, calibration_score,
-                       initial_state, instantaneous_regret, regret_update, simulate, step,
-                       theta_of_m, write_trajectory_csv)
+                       initial_state, simulate, step, theta_of_m, write_trajectory_csv)
 from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expected_latency,
                           potential, project_simplex, solve_bwe, verify_vi)
 from .errors import ConfigurationError, SolverError
-from .estimators import (BetaSchedule, LuenbergerSpec, SmoothingSpec, envelope_series,
-                         luenberger_update, smoothing_update)
+from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec, envelope_series
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
-                    eval_latency, m_max_default, p_flows)
+                    m_max_default)
 
 __all__ = [
     "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
     "LatencyModel", "LuenbergerSpec", "ObedienceReport", "Prior", "Scenario",
     "Signal", "SimulationState", "SmoothingSpec", "SolverError",
     "Trajectory", "TrajectoryRecord", "calibration_score", "check_obedience",
-    "envelope_series", "eval_latency", "expected_latency", "initial_state",
-    "instantaneous_regret", "luenberger_update", "m_max_default",
-    "p_flows", "potential", "project_simplex", "regret_update", "simulate",
-    "smoothing_update", "solve_bwe", "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
+    "envelope_series", "expected_latency", "initial_state", "m_max_default", "potential",
+    "project_simplex", "simulate", "solve_bwe", "step", "theta_of_m", "verify_vi",
+    "write_trajectory_csv",
 ]

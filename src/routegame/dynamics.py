@@ -26,8 +26,7 @@ import numpy as np
 from .equilibrium import best_response
 from .errors import ConfigurationError, SolverError
 from .estimators import SmoothingSpec, envelope_series, observe, smooth
-from .model import (CompiledGame, GameConfig, Scenario, Signal, _check_state_index,
-                    _link_vector, flows, poly_rows)
+from .model import CompiledGame, GameConfig, flows, poly_rows
 
 logger = logging.getLogger(__name__)
 
@@ -128,39 +127,23 @@ class Trajectory:
 
 
 def payoff_gap(pi_w: np.ndarray, matrix: np.ndarray, ell: np.ndarray) -> float:
-    """Kernel of :func:`instantaneous_regret` for one recommendation row."""
+    """Payoff difference u = pi_w . ell - pi_w . (D ell) of a row against its deviations."""
     return float(pi_w @ ell - pi_w @ (matrix @ ell))
 
 
-def instantaneous_regret(signal: Signal, disobedience, ell: np.ndarray, omega: int) -> float:
-    """Aggregate payoff difference of the recommendations against fixed deviations."""
-    states, n = signal.pi.shape
-    if disobedience.n != n:
-        raise ConfigurationError(f"signal has {n} links, disobedience matrix {disobedience.n}")
-    _check_state_index(omega, states)
-    return payoff_gap(signal.pi[omega], disobedience.matrix, _link_vector(ell, n, "latencies"))
-
-
 def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
-    """Kernel of :func:`regret_update`; ``discount`` is None for the running average."""
+    """Regret after round k: (k m + u) / (k + 1), or discount * m + (1 - discount) * u."""
     if discount is not None:
         return discount * m + (1.0 - discount) * u
     return (k * m + u) / (k + 1.0)
-
-
-def regret_update(m: float, u: float, k: int, scenario: Scenario) -> float:
-    """Fold round-k payoff difference into the aggregate regret."""
-    if k < 1:
-        raise ConfigurationError(f"round index must be >= 1, got {k}")
-    if not (math.isfinite(m) and math.isfinite(u)):
-        raise ConfigurationError(f"regret and payoff difference must be finite, got {m} and {u}")
-    return fold_regret(m, u, k, scenario.discount)
 
 
 def theta_of_m(m: float, m_max: float) -> float:
     """Disobeying fraction implied by the aggregate regret; clamp is a safety net."""
     if not 0.0 < m_max < math.inf:  # NaN fails too
         raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
+    if not math.isfinite(m):
+        raise ConfigurationError(f"regret must be finite, got {m}")
     return min(max(m, 0.0) / m_max, 1.0)
 
 

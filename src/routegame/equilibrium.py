@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _link_vector,
-                    eval_latency, flows, p_flows, poly_rows)
+                    flows, poly_rows, rerouting_shift)
 
 MAX_ITER = 10_000
 
@@ -134,12 +134,18 @@ def _check_candidate(y: np.ndarray, n: int) -> np.ndarray:
 
 
 def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndarray:
-    """Prior-averaged per-link latency at forecast participating flows plus y."""
+    """Prior-averaged per-link latency at forecast participating flows plus y.
+
+    Each state's latencies are evaluated at its own flows, not through the best
+    response's binomial expansion, so :func:`verify_vi` is an independent check.
+    """
+    _check_unit_interval(theta, "theta")
     y = _check_candidate(y, config.latency.n)
+    coeffs, matrix = config.latency.coeffs, config.disobedience.matrix
     acc = np.zeros(config.latency.n)
-    for w in range(config.latency.num_states):
-        xw = p_flows(config.signal, config.disobedience, theta, w)
-        acc += config.prior.mu0[w] * eval_latency(config.latency, w, xw + y)
+    for w, pi_w in enumerate(config.signal.pi):
+        xw = flows(pi_w, rerouting_shift(matrix, pi_w), theta)
+        acc += config.prior.mu0[w] * poly_rows(coeffs[:, w, :], xw + y)
     return acc
 
 

@@ -5,15 +5,14 @@ fraction, and an observer that mirrors the regret recursion and corrects it with
 the gap between observed and predicted latencies.
 
 Each is a recursion on one float, the forecast theta_hat or the regret estimate
-m_hat; the weight schedule, gain and round index come from the run.  ``step``
-calls the unchecked kernels :func:`smooth` and :func:`observe`; the validating
-wrappers :func:`smoothing_update` and :func:`luenberger_update` return the same
-floats, so they replay a run bit for bit.
+m_hat, computed by :func:`smooth` and :func:`observe`; the weight schedule, gain
+and round index come from the run.  Neither checks its arguments: the config
+they derive from was validated when it was built.  Fed a run's own columns,
+the two reproduce its ``theta_hat`` column bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,47 +86,14 @@ class LuenbergerSpec:
 
 
 def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
-    """Kernel of :func:`smoothing_update`."""
+    """Next forecast beta * theta_observed + (1 - beta) * theta_hat, with beta = ``at(k + 1)``."""
     return beta * theta_observed + (1.0 - beta) * theta_hat
-
-
-def smoothing_update(theta_hat: float, theta_observed: float, beta: float) -> float:
-    """Round k + 1's forecast from round k's; ``beta`` is the schedule's ``at(k + 1)``."""
-    for value, name in ((theta_hat, "forecast"), (theta_observed, "observed fraction")):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"{name} {value} outside [0, 1]")
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError(f"smoothing weight {beta} outside (0, 1)")
-    return float(smooth(theta_hat, theta_observed, beta))
 
 
 def observe(m_hat: float, k: int, u: float, gain: np.ndarray, ell: np.ndarray,
             ell_hat: np.ndarray) -> float:
-    """Kernel of :func:`luenberger_update`."""
+    """Regret estimate after round k: the regret recursion plus gain . (ell - ell_hat)."""
     return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
-
-
-def luenberger_update(m_hat: float, k: int, u: float, gain, latencies_observed,
-                      latencies_predicted) -> float:
-    """One observer step: fold round k's payoff gap ``u`` and output error into ``m_hat``.
-
-    Returns the regret estimate after round k.
-    """
-    if not (math.isfinite(m_hat) and math.isfinite(u)):
-        raise ConfigurationError(
-            f"regret estimate and payoff difference must be finite, got {m_hat} and {u}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ConfigurationError(f"round index must be an integer >= 1, got {k!r}")
-    message = "observer gain and latencies must be finite vectors of one length"
-    try:
-        vectors = [np.asarray(v, dtype=float)
-                   for v in (gain, latencies_observed, latencies_predicted)]
-    except (TypeError, ValueError):  # ragged nesting or a non-numeric entry
-        raise ConfigurationError(message) from None
-    if (vectors[0].ndim != 1 or any(v.shape != vectors[0].shape for v in vectors)
-            or not np.isfinite(np.concatenate(vectors)).all()):
-        raise ConfigurationError(message)
-    return float(observe(m_hat, k, u, *vectors))
 
 
 def envelope_series(num_rounds: int, e1: float, beta_min: float,

@@ -8,12 +8,11 @@ directly, without an extra ``nu`` prefactor.  All types are immutable after
 validation and all operations here are pure.
 
 Inputs are validated once, where they enter: the domain types and
-:class:`GameConfig` check themselves on construction, and the public functions
-check their arguments.  The round loop runs on a :class:`CompiledGame`, the
-config's constants derived once per run, through kernels that check nothing;
-the run carries it in its state, so a config holds no cached copy.  Each
-public function is a validating wrapper over the same kernel, so both give
-the same bits.
+:class:`GameConfig` check themselves on construction.  The round loop runs on
+a :class:`CompiledGame`, the config's constants derived once per run, through
+the kernels here (:func:`flows`, :func:`poly_rows`, :func:`rerouting_shift`),
+which check nothing; the run carries it in its state, so a config holds no
+cached copy.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ def _readonly(a, name: str) -> np.ndarray:
 def _check_unit_interval(x: float, name: str) -> None:
     if not 0.0 <= x <= 1.0:
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
-
-
-def _check_state_index(omega, num_states: int) -> None:
-    """A state index must be an integer in [0, num_states): numpy would wrap a negative one."""
-    if not isinstance(omega, (int, np.integer)) or not 0 <= omega < num_states:
-        raise ConfigurationError(f"state index {omega} outside [0, {num_states})")
 
 
 def _link_vector(v, n: int, name: str) -> np.ndarray:
@@ -133,8 +126,8 @@ class Prior:
         object.__setattr__(self, "mu0", mu0)
         if mu0.ndim != 1 or mu0.size < 1:
             raise ConfigurationError("prior must be a nonempty vector")
-        if np.any(mu0 <= 0):
-            raise ConfigurationError("prior must be strictly positive on every state")
+        if not np.all(mu0 > 0):  # NaN fails too; an infinite entry fails the sum below
+            raise ConfigurationError("prior must be finite and strictly positive on every state")
         total = float(mu0.sum())
         if abs(total - 1.0) > INPUT_TOL:
             raise ConfigurationError(f"prior sums to {float(total)!r}, expected 1")
@@ -301,6 +294,12 @@ class GameConfig:
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise ConfigurationError(
                 f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
+        for name in ("rounds", "seed"):  # a bool is an int, but not a count or a seed
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}")
+        if self.rounds < 1:
+            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if isinstance(self.estimator, SmoothingSpec):
             schedule = self.estimator.schedule
             schedule.check_bounds(self.beta_min, self.beta_max)
@@ -312,16 +311,14 @@ class GameConfig:
             if len(self.estimator.gain) != lat.n:
                 raise ConfigurationError(
                     f"observer gain has {len(self.estimator.gain)} entries for {lat.n} links")
+            if not all(math.isfinite(g) for g in self.estimator.gain):
+                raise ConfigurationError(f"observer gain must be finite, got {self.estimator.gain}")
             if any(g != 0.0 for g in self.estimator.gain):
                 logger.warning("nonzero observer gain: stability unanalyzed")
         else:
             raise ConfigurationError(f"unknown estimator spec {type(self.estimator).__name__}")
         if not 0.0 < self.solver_tol < math.inf:  # NaN fails too
             raise ConfigurationError(f"solver_tol must be finite and positive, got {self.solver_tol}")
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ConfigurationError(f"seed must be an integer, got {type(self.seed).__name__}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
@@ -337,17 +334,6 @@ def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     for d in range(coeffs.shape[0] - 2, -1, -1):
         out = out * f + coeffs[d]
     return out if coeffs.shape[0] > 1 else np.array(out)
-
-
-def eval_latency(model: LatencyModel, omega: int, f: np.ndarray) -> np.ndarray:
-    """Per-link latencies in state ``omega`` at the given link flows."""
-    _check_state_index(omega, model.num_states)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.n,):
-        raise ConfigurationError(f"flow vector shape {f.shape} does not match {model.n} links")
-    if not np.all(np.isfinite(f)) or np.any(f < 0):
-        raise ConfigurationError("flows must be finite and nonnegative")
-    return poly_rows(model.coeffs[:, omega, :], f)
 
 
 def m_max_default(model: LatencyModel) -> float:
@@ -368,30 +354,13 @@ def flows(pi: np.ndarray, shift: np.ndarray, theta: float) -> np.ndarray:
     return pi + theta * shift
 
 
-def p_flows(signal: Signal, disobedience: DisobedienceMatrix, theta: float,
-            omega: int) -> np.ndarray:
-    """Link flows induced by participating agents when a fraction theta deviates.
-
-    The obedient share follows the recommendation row; the deviating share is
-    rerouted through the disobedience matrix.  The result stays on the simplex
-    of mass ``signal.nu``.  At a forecast theta_hat the same map gives the
-    forecast flows.
-    """
-    _check_unit_interval(theta, "theta")
-    _check_state_index(omega, signal.pi.shape[0])
-    pi_w = signal.pi[omega]
-    if signal.pi.shape[1] != disobedience.n:
-        raise ConfigurationError(
-            f"signal has {signal.pi.shape[1]} links, disobedience matrix {disobedience.n}")
-    return flows(pi_w, rerouting_shift(disobedience.matrix, pi_w), theta)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class CompiledGame:
     """Constants of the round loop, derived once from a validated :class:`GameConfig`.
 
-    Every array is computed with the expression the validated public functions
-    use, so the kernels that read it reproduce them bit for bit.
+    Each shift row is :func:`rerouting_shift` of its recommendation row, the
+    expression :func:`expected_latency` evaluates per state, so the round's
+    flows have its bits.
     ``response_const`` holds the d = p terms of the best response's binomial
     expansion, the only ones that do not depend on the forecast flows.
     """

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from routegame import (BetaSchedule, Scenario, check_obedience, envelope_series,
-                       expected_latency, calibration_score, luenberger_update, potential,
-                       regret_update, simulate, smoothing_update, solve_bwe, theta_of_m,
-                       verify_vi)
+                       expected_latency, calibration_score, potential, simulate, solve_bwe,
+                       theta_of_m, verify_vi)
 from routegame.cli import main
+from routegame.dynamics import fold_regret
+from routegame.estimators import observe, smooth
 
 from conftest import benchmark_config, delta_tilde, grid_best_response, random_affine_config
 
@@ -107,7 +108,7 @@ def test_criterion_04_fixed_m_forecast_decay():
     e1 = abs(theta - theta_hat)
     worst = 0.0
     for k in range(1, 1000):
-        theta_hat = smoothing_update(theta_hat, theta, beta)
+        theta_hat = smooth(theta_hat, theta, beta)
         worst = max(worst, abs(abs(theta - theta_hat) - (1 - beta) ** k * e1))
     exact_ok = worst < 1e-12
 
@@ -119,7 +120,7 @@ def test_criterion_04_fixed_m_forecast_decay():
         theta_hat = float(rng.uniform(0, 1))
         e1 = abs(theta - theta_hat)
         for k in range(1, 1000):
-            theta_hat = smoothing_update(theta_hat, theta, schedule.at(k + 1))
+            theta_hat = smooth(theta_hat, theta, schedule.at(k + 1))
             err = abs(theta - theta_hat)
             lo = (1 - beta_max) ** k * e1 - 1e-15
             hi = (1 - beta_min) ** k * e1 + 1e-15
@@ -162,8 +163,8 @@ def test_criterion_06_observer_closed_form():
     m_hat = 0.0
     worst_scaled = 0.0
     for k in range(1, 1_000_000):
-        m = regret_update(m, 0.0, k, Scenario.baseline())
-        m_hat = luenberger_update(m_hat, k, 0.0, zeros, zeros, zeros)
+        m = fold_regret(m, 0.0, k, None)
+        m_hat = observe(m_hat, k, 0.0, zeros, zeros, zeros)
         err = (m - m_hat) * (k + 1) - e1
         worst_scaled = max(worst_scaled, abs(err) / (k + 1))
     long_ok = worst_scaled < 1e-12
@@ -174,8 +175,8 @@ def test_criterion_06_observer_closed_form():
     noisy_ok = True
     for k in range(1, 10_000):
         u = float(rng.uniform(-5, 5))
-        m = regret_update(m, u, k, Scenario.baseline())
-        m_hat = luenberger_update(m_hat, k, u, zeros, zeros, zeros)
+        m = fold_regret(m, u, k, None)
+        m_hat = observe(m_hat, k, u, zeros, zeros, zeros)
         noisy_ok = noisy_ok and abs((m - m_hat) * (k + 1) - e1) < 1e-12 * (k + 1)
     ok = long_ok and noisy_ok
     _verdict(6, "observer closed form (zero gain)", ok,

@@ -10,10 +10,9 @@ PUBLIC_NAMES = [
     "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
     "LatencyModel", "LuenbergerSpec", "ObedienceReport", "Prior", "Scenario", "Signal",
     "SimulationState", "SmoothingSpec", "SolverError", "Trajectory", "TrajectoryRecord",
-    "calibration_score", "check_obedience", "envelope_series", "eval_latency",
-    "expected_latency", "initial_state", "instantaneous_regret", "luenberger_update",
-    "m_max_default", "p_flows", "potential", "project_simplex", "regret_update", "simulate",
-    "smoothing_update", "solve_bwe", "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
+    "calibration_score", "check_obedience", "envelope_series", "expected_latency",
+    "initial_state", "m_max_default", "potential", "project_simplex", "simulate", "solve_bwe",
+    "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
 ]
 
 

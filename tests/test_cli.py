@@ -368,6 +368,14 @@ class TestSimulateCommand:
         assert data.count(b"\r\n") == 21
         assert ",café,".encode() in data
 
+    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    def test_non_finite_observer_gain_exit_one(self, tmp_path, capsys, gain):
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--estimator", f"luenberger={gain}",
+                   "--rounds", "5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: observer gain must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                    "--out", str(tmp_path)])
@@ -458,6 +466,12 @@ class TestCheckObedienceCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_non_finite_prior_exit_one(self, tmp_path, capsys):
+        rc = main(["check-obedience", "--config",
+                   str(write_config(tmp_path, prior=[float("nan"), 0.4]))])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: prior must be finite")
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

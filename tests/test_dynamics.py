@@ -18,14 +18,14 @@ import routegame.equilibrium as equilibrium
 import routegame.model as model
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
-                       TrajectoryRecord, calibration_score, initial_state, instantaneous_regret,
-                       p_flows, regret_update, simulate, step, theta_of_m, write_trajectory_csv)
+                       TrajectoryRecord, calibration_score, initial_state, simulate, step,
+                       theta_of_m, write_trajectory_csv)
 from routegame.cli import load_config
-from routegame.dynamics import trajectory_columns
+from routegame.dynamics import fold_regret, payoff_gap, trajectory_columns
 from routegame.estimators import envelope_series
-from routegame.model import CompiledGame, _rescaled, rerouting_shift
+from routegame.model import CompiledGame, _rescaled, flows, rerouting_shift
 
-from conftest import AFFINE_COEFFS, benchmark_config, revealing_signal
+from conftest import AFFINE_COEFFS, benchmark_config
 from test_golden import DIGESTS, SCENARIOS, case, cubic_config
 
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
@@ -51,7 +51,7 @@ def equal_constant_config(**overrides) -> GameConfig:
 class TestInstantaneousRegret:
     def test_two_link_expansion(self):
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
-        u = instantaneous_regret(sig, SWAP, np.array([7.0, 26.0]), 0)
+        u = payoff_gap(sig.pi[0], SWAP.matrix, np.array([7.0, 26.0]))
         assert u == pytest.approx(-1.9, abs=1e-12)
 
     def test_equal_latencies_vanish(self):
@@ -60,8 +60,7 @@ class TestInstantaneousRegret:
             nu = 0.8
             pi = rng.dirichlet(np.ones(n), size=1) * nu
             sig = Signal(pi=pi * (nu / pi.sum()), nu=nu)
-            u = instantaneous_regret(sig, DisobedienceMatrix.default(n),
-                                     np.full(n, 3.7), 0)
+            u = payoff_gap(sig.pi[0], DisobedienceMatrix.default(n).matrix, np.full(n, 3.7))
             assert u == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_signal_uniform_rerouting_vanish(self):
@@ -70,53 +69,39 @@ class TestInstantaneousRegret:
         sig = Signal(pi=np.full((1, n), 0.6 / n), nu=0.6)
         P = DisobedienceMatrix.default(n)
         ell = rng.uniform(0, 30, size=n)
-        u = instantaneous_regret(sig, P, ell, 0)
+        u = payoff_gap(sig.pi[0], P.matrix, ell)
         # oracle: the full matrix product, written out
         oracle = float(sig.pi[0] @ ((np.eye(n) - P.matrix) @ ell))
         assert u == pytest.approx(oracle, abs=1e-12)
         assert u == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("ell, omega", [
-        ([7.0, 26.0], -1), ([7.0, 26.0], 2), ([7.0, 26.0], 1.0),
-        ([7.0, 26.0, 1.0], 0), ([7.0], 0), ([7.0, np.nan], 0), ([[7.0, 26.0]], 0)])
-    def test_bad_state_or_latencies_rejected(self, ell, omega):
-        # -1 used to read the last state's row
-        with pytest.raises(ConfigurationError):
-            instantaneous_regret(revealing_signal(0.5), SWAP, np.array(ell), omega)
-
-    def test_link_count_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            instantaneous_regret(revealing_signal(0.5), DisobedienceMatrix.default(3),
-                                 np.array([7.0, 26.0]), 0)
-
 
 class TestRegretUpdate:
     def test_running_average_step(self):
-        assert regret_update(0.5, -1.9, 1, Scenario.baseline()) == pytest.approx(-0.7, abs=1e-15)
+        assert fold_regret(0.5, -1.9, 1, None) == pytest.approx(-0.7, abs=1e-15)
 
     def test_constant_stream_unrolls_exactly(self):
         m, c = 0.8, -0.3
         for k in range(1, 200):
-            m = regret_update(m, c, k, Scenario.baseline())
+            m = fold_regret(m, c, k, None)
             assert m == pytest.approx((0.8 + k * c) / (k + 1), abs=1e-13)
 
     def test_discounted_step(self):
         sc = Scenario.discounted(0.9)
-        assert regret_update(0.5, -1.9, 1, sc) == pytest.approx(0.26, abs=1e-15)
+        assert fold_regret(0.5, -1.9, 1, sc.discount) == pytest.approx(0.26, abs=1e-15)
 
     def test_dynamic_nu_uses_running_average(self):
-        assert regret_update(0.5, -1.9, 1, Scenario.dynamic_nu()) == pytest.approx(-0.7, abs=1e-15)
-
-    def test_round_index_validated(self):
-        with pytest.raises(ConfigurationError):
-            regret_update(0.0, 0.0, 0, Scenario.baseline())
+        sc = Scenario.dynamic_nu()
+        assert fold_regret(0.5, -1.9, 1, sc.discount) == pytest.approx(-0.7, abs=1e-15)
 
     @pytest.mark.parametrize("m, u", [(0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0),
                                       (0.0, -np.inf)])
     def test_non_finite_inputs_rejected(self, m, u):
+        # fold_regret checks nothing; the next round's theta_of_m rejects what it folded
         for scenario in SCENARIOS.values():
+            m_next = fold_regret(m, u, 1, scenario.discount)
             with pytest.raises(ConfigurationError, match="must be finite"):
-                regret_update(m, u, 1, scenario)
+                theta_of_m(m_next, 51.0)
 
 
 class TestThetaOfM:
@@ -136,6 +121,11 @@ class TestThetaOfM:
     def test_m_max_must_be_finite_and_positive(self, m_max):
         with pytest.raises(ConfigurationError, match="m_max must be finite and positive"):
             theta_of_m(5.0, m_max)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf])
+    def test_regret_must_be_finite(self, m):
+        with pytest.raises(ConfigurationError, match="regret must be finite"):
+            theta_of_m(m, 51.0)
 
 
 class TestStep:
@@ -282,11 +272,12 @@ class TestCalibration:
         rng = np.random.default_rng(3)
         thetas = rng.uniform(c, 1.0, size=39)
         zeros, zero_rows = np.zeros(39), np.zeros((39, 2))
+        shift = rerouting_shift(SWAP.matrix, sig.pi[0])
         trajectory = Trajectory(
             rounds=range(1, 40), omega=np.zeros(39, dtype=np.intp), theta=thetas,
             theta_hat=thetas - c, u=zeros, m_next=zeros, flow_gap=zeros,
-            x=np.stack([p_flows(sig, SWAP, float(t), 0) for t in thetas]),
-            x_hat=np.stack([p_flows(sig, SWAP, float(t) - c, 0) for t in thetas]),
+            x=np.stack([flows(sig.pi[0], shift, float(t)) for t in thetas]),
+            x_hat=np.stack([flows(sig.pi[0], shift, float(t) - c) for t in thetas]),
             y=zero_rows, ell=zero_rows)
         expected = abs(c * (sig.pi[0, 1] - sig.pi[0, 0]))
         assert calibration_score(trajectory) == pytest.approx([expected, expected], abs=1e-12)

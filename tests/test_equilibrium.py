@@ -168,16 +168,22 @@ class TestExpectedLatency:
         assert out == pytest.approx([13.6, 21.4], abs=1e-12)
 
     def test_single_state_reduces_to_latency_at_total_flow(self):
-        from routegame import eval_latency, p_flows
         cfg = GameConfig(
             latency=LatencyModel(states=("only",), coeffs=[[[2.0, 3.0]], [[1.0, 2.0]]]),
             prior=Prior([1.0]),
             signal=Signal(pi=[[0.2, 0.3]], nu=0.5),
             disobedience=DisobedienceMatrix.default(2))
         y = np.array([0.1, 0.4])
-        xhat = p_flows(cfg.signal, cfg.disobedience, 0.3, 0)
+        xhat = np.array([0.2 + 0.3 * 0.1, 0.3 - 0.3 * 0.1])  # 0.3 of the swap's shift (0.1, -0.1)
         assert expected_latency(cfg, 0.3, y) == pytest.approx(
-            eval_latency(cfg.latency, 0, xhat + y), abs=1e-15)
+            [2.0 + 1.0 * (xhat[0] + 0.1), 3.0 + 2.0 * (xhat[1] + 0.4)], abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [-0.1, 1.5])
+    def test_theta_outside_unit_interval_rejected(self, paper_config, theta):
+        with pytest.raises(ConfigurationError, match="theta"):
+            expected_latency(paper_config, theta, np.zeros(2))
+        with pytest.raises(ConfigurationError, match="theta"):
+            verify_vi(paper_config, theta, np.array([0.5, 0.0]))
 
 
 class TestPotential:

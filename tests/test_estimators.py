@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import (BetaSchedule, ConfigurationError, SmoothingSpec, envelope_series,
-                       eval_latency, luenberger_update, simulate, smoothing_update, theta_of_m)
+                       simulate, theta_of_m)
+from routegame.estimators import observe, smooth
+from routegame.model import poly_rows
 
 from conftest import benchmark_config, delta_tilde
 from test_dynamics import skip_games
@@ -59,17 +61,17 @@ class TestBetaSchedule:
 
 class TestSmoothing:
     def test_single_update(self):
-        assert smoothing_update(0.25, 0.5, 0.5) == pytest.approx(0.375, abs=1e-15)
+        assert smooth(0.25, 0.5, 0.5) == pytest.approx(0.375, abs=1e-15)
 
     def test_matching_observation_is_fixed_point(self):
-        assert smoothing_update(0.42, 0.42, 0.6) == pytest.approx(0.42, abs=1e-15)
+        assert smooth(0.42, 0.42, 0.6) == pytest.approx(0.42, abs=1e-15)
 
     def test_constant_observation_unrolls_geometrically(self):
         beta, target = 0.5, 0.8
         theta_hat = 0.1
         e1 = target - theta_hat
         for k in range(1, 400):
-            theta_hat = smoothing_update(theta_hat, target, beta)
+            theta_hat = smooth(theta_hat, target, beta)
             expected = (1 - beta) ** k * e1
             assert target - theta_hat == pytest.approx(expected, abs=1e-13)
 
@@ -81,21 +83,21 @@ class TestSmoothing:
         theta_hat = 0.05
         e1 = abs(target - theta_hat)
         for k in range(1, 300):
-            theta_hat = smoothing_update(theta_hat, target, schedule.at(k + 1))
+            theta_hat = smooth(theta_hat, target, schedule.at(k + 1))
             err = abs(target - theta_hat)
             assert (1 - beta_max) ** k * e1 - 1e-15 <= err <= (1 - beta_min) ** k * e1 + 1e-15
 
-    def test_observation_range_enforced(self):
-        with pytest.raises(ConfigurationError):
-            smoothing_update(0.2, 1.5, 0.5)
-
     @pytest.mark.parametrize("theta_hat, theta_observed, beta", [
-        (-0.1, 0.5, 0.5), (1.1, 0.5, 0.5), (np.nan, 0.5, 0.5), (0.2, -0.1, 0.5),
-        (0.2, np.nan, 0.5), (0.2, 0.5, 0.0), (0.2, 0.5, 1.0), (0.2, 0.5, np.nan),
+        (-0.1, 0.5, 0.5), (1.1, 0.5, 0.5), (np.nan, 0.5, 0.5),
+        (0.2, 0.5, 0.0), (0.2, 0.5, 1.0), (0.2, 0.5, np.nan),
     ])
     def test_invalid_input_rejected(self, theta_hat, theta_observed, beta):
-        with pytest.raises(ConfigurationError):
-            smoothing_update(theta_hat, theta_observed, beta)
+        # smooth checks nothing: a run's first forecast and its weights are checked where
+        # they enter, and its observations come from theta_of_m, here through m_init
+        match = "theta_hat_init" if beta == 0.5 else "smoothing weight"
+        with pytest.raises(ConfigurationError, match=match):
+            benchmark_config(m_init=theta_observed * 51.0, theta_hat_init=theta_hat,
+                             estimator=SmoothingSpec(BetaSchedule.constant(beta)))
 
 
 class TestLuenberger:
@@ -109,7 +111,7 @@ class TestLuenberger:
         for k in range(1, 2000):
             u = us[k - 1]
             m = k / (k + 1.0) * m + u / (k + 1.0)
-            m_hat = luenberger_update(m_hat, k, u, zeros, zeros, zeros)
+            m_hat = observe(m_hat, k, u, zeros, zeros, zeros)
             assert (m - m_hat) * (k + 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_tenth_round_error(self):
@@ -118,7 +120,7 @@ class TestLuenberger:
         zeros = np.zeros(2)
         for k in range(1, 10):
             m = k / (k + 1.0) * m
-            m_hat = luenberger_update(m_hat, k, 0.0, (0.0,) * 2, zeros, zeros)
+            m_hat = observe(m_hat, k, 0.0, zeros, zeros, zeros)
         assert m - m_hat == pytest.approx(0.1, abs=1e-12)
 
     def test_exact_initialization_stays_exact(self):
@@ -129,35 +131,13 @@ class TestLuenberger:
         for k in range(1, 500):
             u = float(rng.uniform(-2, 2))
             m = k / (k + 1.0) * m + u / (k + 1.0)
-            m_hat = luenberger_update(m_hat, k, u, (0.0, 0.0), zeros, zeros)
+            m_hat = observe(m_hat, k, u, zeros, zeros, zeros)
             assert m == m_hat
 
     def test_gain_feeds_latency_gap(self):
-        m_hat = luenberger_update(0.0, 3, 0.0, (0.5, -0.25), np.array([2.0, 1.0]),
-                                  np.array([1.0, 1.0]))
+        m_hat = observe(0.0, 3, 0.0, np.array([0.5, -0.25]), np.array([2.0, 1.0]),
+                        np.array([1.0, 1.0]))
         assert m_hat == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize("m_hat, k, u, gain, ell, ell_hat", [
-        (np.nan, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (np.inf, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, np.nan, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, -np.inf, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 0, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 2.0, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, np.nan], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0], [1.0, np.inf], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [np.nan, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0, 0.0], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0]),
-        (0.0, 1, 0.0, 0.0, 1.0, 1.0),
-        (0.0, 1, 0.0, [1.0, [2.0]], [1.0, 2.0], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0], [[1.0], 2.0], [1.0, 2.0]),
-        (0.0, 1, 0.0, [0.0, 0.0], [1.0, 2.0], [1.0, [2.0, 3.0]]),
-        (0.0, 1, 0.0, [0.0, "a"], [1.0, 2.0], [1.0, 2.0]),
-    ])
-    def test_invalid_input_rejected(self, m_hat, k, u, gain, ell, ell_hat):
-        with pytest.raises(ConfigurationError):
-            luenberger_update(m_hat, k, u, gain, ell, ell_hat)
 
     def test_forecast_clamps(self):
         # the observer's forecast is the fraction its regret estimate m_hat implies
@@ -167,11 +147,11 @@ class TestLuenberger:
 
 
 class TestReplay:
-    """The public wrappers, fed a run's own columns, give its forecasts bit for bit."""
+    """The estimator kernels, fed a run's own columns, give its forecasts bit for bit."""
 
     @given(skip_games(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     @settings(max_examples=40, deadline=None)
-    def test_wrappers_replay_simulate(self, config, schedule_seed):
+    def test_kernels_replay_simulate(self, config, schedule_seed):
         if isinstance(config.estimator, SmoothingSpec) and schedule_seed is not None:
             betas = np.random.default_rng(schedule_seed).uniform(0.31, 0.69, size=config.rounds)
             config = replace(config, estimator=SmoothingSpec(BetaSchedule.from_sequence(betas)))
@@ -181,11 +161,11 @@ class TestReplay:
         for rec in trajectory[:-1]:
             if isinstance(config.estimator, SmoothingSpec):
                 beta = config.estimator.schedule.at(rec.k + 1)
-                theta_hat.append(smoothing_update(theta_hat[-1], rec.theta, beta))
+                theta_hat.append(smooth(theta_hat[-1], rec.theta, beta))
             else:
-                ell_hat = eval_latency(config.latency, rec.omega, rec.x_hat + rec.y)
-                m_hat = luenberger_update(m_hat, rec.k, rec.u, config.estimator.gain, rec.ell,
-                                          ell_hat)
+                ell_hat = poly_rows(config.latency.coeffs[:, rec.omega, :], rec.x_hat + rec.y)
+                m_hat = observe(m_hat, rec.k, rec.u, np.array(config.estimator.gain), rec.ell,
+                                ell_hat)
                 theta_hat.append(theta_of_m(m_hat, config.m_max))
         assert np.array(theta_hat).tobytes() == trajectory.theta_hat.tobytes()
 

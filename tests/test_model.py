@@ -7,40 +7,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
-                       Scenario, Signal, eval_latency, instantaneous_regret, m_max_default,
-                       p_flows)
-from routegame.model import CompiledGame, flows, poly_rows
+from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
+                       LuenbergerSpec, Prior, Scenario, Signal, expected_latency, m_max_default)
+from routegame.dynamics import payoff_gap
+from routegame.model import CompiledGame, flows, poly_rows, rerouting_shift
 
 from conftest import affine_latency, benchmark_config
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def latency(model: LatencyModel, w: int, f: np.ndarray) -> np.ndarray:
+    """Per-link latencies in state w at flows f."""
+    return poly_rows(model.coeffs[:, w, :], f)
+
+
+def state_flows(signal: Signal, rerouting: DisobedienceMatrix, theta: float,
+                w: int) -> np.ndarray:
+    """State w's participating flows when a fraction theta deviates."""
+    return flows(signal.pi[w], rerouting_shift(rerouting.matrix, signal.pi[w]), theta)
+
+
 class TestEvalLatency:
+    """Latencies from the kernel, and the check of the flows ``expected_latency`` takes."""
+
     def test_affine_state1_midpoint(self):
-        out = eval_latency(affine_latency(), 0, np.array([0.5, 0.5]))
+        out = latency(affine_latency(), 0, np.array([0.5, 0.5]))
         assert out == pytest.approx([7.0, 26.0], abs=1e-12)
 
     def test_affine_state2_corner(self):
-        out = eval_latency(affine_latency(), 1, np.array([1.0, 0.0]))
+        out = latency(affine_latency(), 1, np.array([1.0, 0.0]))
         assert out == pytest.approx([21.0, 15.0], abs=1e-12)
 
     def test_zero_flow_returns_free_flow_terms(self):
         model = affine_latency()
         for w in range(model.num_states):
-            out = eval_latency(model, w, np.zeros(2))
+            out = latency(model, w, np.zeros(2))
             assert np.array_equal(out, model.coeffs[0, w])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            eval_latency(affine_latency(), 0, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ConfigurationError):
-            eval_latency(affine_latency(), 5, np.array([0.5, 0.5]))
+            expected_latency(benchmark_config(), 0.0, np.array([0.5, 0.5, 0.5]))
 
     def test_negative_flow_rejected(self):
         with pytest.raises(ConfigurationError):
-            eval_latency(affine_latency(), 0, np.array([-0.1, 0.5]))
+            expected_latency(benchmark_config(), 0.0, np.array([-0.1, 0.5]))
 
     @given(st.integers(0, 2**32), st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
@@ -49,11 +60,11 @@ class TestEvalLatency:
         coeffs = rng.uniform(0.0, 5.0, size=(3, 2, 2))
         model = LatencyModel(states=("a", "b"), coeffs=coeffs)
         f = rng.uniform(0.0, 1.0, size=2)
-        base = eval_latency(model, omega, f)
+        base = latency(model, omega, f)
         for i in range(2):
             bumped = f.copy()
             bumped[i] += 1e-4
-            assert eval_latency(model, omega, bumped)[i] >= base[i]
+            assert latency(model, omega, bumped)[i] >= base[i]
 
 
 class TestPolyRows:
@@ -106,7 +117,7 @@ class TestMMaxDefault:
         P = DisobedienceMatrix.default(n)
         f = rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 1.0)
         for w in range(s):
-            u = instantaneous_regret(signal, P, eval_latency(model, w, f), w)
+            u = payoff_gap(signal.pi[w], P.matrix, latency(model, w, f))
             assert abs(u) <= cap + 1e-9
 
 
@@ -114,15 +125,15 @@ class TestFlowMaps:
     def test_theta_zero_is_recommendation(self):
         sig = Signal(pi=[[0.3, 0.2], [0.1, 0.4]], nu=0.5)
         for w in range(2):
-            assert np.array_equal(p_flows(sig, SWAP, 0.0, w), sig.pi[w])
+            assert np.array_equal(state_flows(sig, SWAP, 0.0, w), sig.pi[w])
 
     def test_full_swap(self):
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
-        assert p_flows(sig, SWAP, 1.0, 0) == pytest.approx([0.2, 0.3], abs=1e-15)
+        assert state_flows(sig, SWAP, 1.0, 0) == pytest.approx([0.2, 0.3], abs=1e-15)
 
     def test_half_swap_midpoint(self):
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
-        assert p_flows(sig, SWAP, 0.5, 0) == pytest.approx([0.25, 0.25], abs=1e-15)
+        assert state_flows(sig, SWAP, 0.5, 0) == pytest.approx([0.25, 0.25], abs=1e-15)
 
     def test_forecast_is_same_map(self):
         # the round loop's forecast flows come from the compiled game's rows
@@ -130,16 +141,16 @@ class TestFlowMaps:
         game = CompiledGame.of(GameConfig(
             latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]]]),
             prior=Prior([1.0]), signal=sig, disobedience=SWAP))
-        assert p_flows(sig, SWAP, 0.25, 0) == pytest.approx([0.375, 0.125], abs=1e-15)
+        assert state_flows(sig, SWAP, 0.25, 0) == pytest.approx([0.375, 0.125], abs=1e-15)
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = float(rng.uniform(0, 1))
-            assert np.array_equal(p_flows(sig, SWAP, theta, 0),
+            assert np.array_equal(state_flows(sig, SWAP, theta, 0),
                                   flows(game.pi[0], game.shift[0], theta))
 
     def test_forecast_zero_is_recommendation(self):
         sig = Signal(pi=[[0.5, 0.0]], nu=0.5)
-        assert np.array_equal(p_flows(sig, SWAP, 0.0, 0), sig.pi[0])
+        assert np.array_equal(state_flows(sig, SWAP, 0.0, 0), sig.pi[0])
 
     @given(st.integers(0, 2**32), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -149,7 +160,7 @@ class TestFlowMaps:
         nu = float(rng.uniform(0.0, 1.0))
         pi = rng.dirichlet(np.ones(n), size=1) * nu
         sig = Signal(pi=pi * (nu / pi.sum()) if nu else pi * 0.0, nu=nu)
-        x = p_flows(sig, DisobedienceMatrix.default(n), theta, 0)
+        x = state_flows(sig, DisobedienceMatrix.default(n), theta, 0)
         assert np.all(x >= -1e-15)
         assert abs(float(x.sum()) - nu) <= 1e-10
 
@@ -161,8 +172,8 @@ class TestFlowMaps:
         pi = rng.dirichlet(np.ones(n), size=1) * 0.7
         sig = Signal(pi=pi * (0.7 / pi.sum()), nu=0.7)
         P = DisobedienceMatrix.default(n)
-        blended = (1 - theta) * p_flows(sig, P, 0.0, 0) + theta * p_flows(sig, P, 1.0, 0)
-        assert p_flows(sig, P, theta, 0) == pytest.approx(blended, abs=1e-12)
+        blended = (1 - theta) * state_flows(sig, P, 0.0, 0) + theta * state_flows(sig, P, 1.0, 0)
+        assert state_flows(sig, P, theta, 0) == pytest.approx(blended, abs=1e-12)
 
 
 class TestValidation:
@@ -191,6 +202,12 @@ class TestValidation:
             Prior([1.0, 0.0])
         with pytest.raises(ConfigurationError):
             Prior([0.5, 0.4])
+
+    @pytest.mark.parametrize("mu0", [[math.nan, 0.5], [0.5, math.nan]])
+    def test_prior_must_be_finite(self, mu0):
+        # nan <= 0 and abs(nan - 1) > tol are both false, so a NaN passed the other checks
+        with pytest.raises(ConfigurationError, match="prior must be finite"):
+            Prior(mu0)
 
     def test_signal_row_sum(self):
         with pytest.raises(ConfigurationError, match="signal row 0"):
@@ -235,6 +252,16 @@ class TestValidation:
         ("m_max", math.nan, "m_max must be finite and positive"),
         ("m_max", math.inf, "m_max must be finite and positive"),
         ("m_max", -1.0, "m_max must be finite and positive"),
+        ("rounds", 2.5, "rounds must be an integer"),
+        ("rounds", 5.0, "rounds must be an integer"),
+        ("rounds", "5", "rounds must be an integer"),
+        ("rounds", True, "rounds must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("estimator", LuenbergerSpec((0.0, math.nan)), "observer gain must be finite"),
+        ("estimator", LuenbergerSpec((math.inf, 0.0)), "observer gain must be finite"),
+        ("estimator", LuenbergerSpec((0.0, -math.inf)), "observer gain must be finite"),
+        ("estimator", LuenbergerSpec((0.0,) * 3), "observer gain has 3 entries for 2 links"),
+        ("disobedience", DisobedienceMatrix.default(3), "disobedience matrix is 3x3 for 2 links"),
     ])
     def test_setting_out_of_range_rejected(self, key, value, message):
         from conftest import benchmark_config
