@@ -277,8 +277,8 @@ def simulate(config: GameConfig) -> Trajectory:
     state = initial_state(config)
     for _ in range(rounds):
         state = step(config, state, trajectory)[0]
-    for column in fields(trajectory)[1:]:
-        getattr(trajectory, column.name).flags.writeable = False
+    for column in fields(trajectory)[1:]:  # setflags: see project_simplex on name strings
+        getattr(trajectory, column.name).setflags(write=False)
     return trajectory
 
 

@@ -13,7 +13,7 @@ inequality is linear in the comparison point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -75,18 +75,35 @@ class ObedienceReport:
 
 
 def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
-    """Euclidean projection onto {y >= 0, sum(y) = mass} by sort and threshold."""
+    """Euclidean projection onto {y >= 0, sum(y) = mass} by sort and threshold.
+
+    With u the entries sorted in decreasing order, the threshold is
+    tau = q[rho - 1] for q[k - 1] = (u[0] + ... + u[k - 1] - mass) / k and rho
+    the last k with u[k - 1] > q[k - 1] (Duchi et al., ICML 2008).  q is built
+    in place in one array and tau is read from it, so tau is the same
+    quotient, with the same bits, as dividing the shifted cumulative sum at
+    rho by rho.  For finite doubles with gradual underflow, u > q decides as
+    u - q > 0 does: a difference of two doubles rounds to zero only when they
+    are equal.  The cumulative sum calls ``np.add.accumulate`` itself:
+    ``cumsum`` reaches it by a name string made for each call, which Python
+    3.11's type method cache may keep alive in a slot picked by its address,
+    so the traced peak memory of a run varied by kilobytes between processes.
+    """
     if mass < 0:
         raise ConfigurationError(f"simplex mass must be nonnegative, got {mass}")
     v = np.asarray(v, dtype=float)
     if mass == 0.0:
         return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - mass
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - cssv / idx > 0][-1]
-    tau = cssv[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    q = np.add.accumulate(u)
+    q -= mass
+    q /= np.arange(1.0, v.size + 1.0)
+    tau = q[(u > q).nonzero()[0][-1]]
+    out = v - tau
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def response_coeffs(game: CompiledGame, pi: np.ndarray, shift: np.ndarray,
@@ -178,6 +195,11 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
     return _vi_margin(expected_latency(config, theta, np.maximum(y, 0.0)), y, mass)
 
 
+def _stalled(y: np.ndarray, margin: float, iterations: int) -> SolverError:
+    return SolverError("iterate stopped moving before reaching the VI certificate",
+                       last_iterate=y, vi_margin=margin, iterations=iterations)
+
+
 def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray | None,
                   theta: float, start: np.ndarray | None = None, start_fixed: bool = False):
     """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
@@ -190,6 +212,15 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
     projection is a pure function.  A response that certifies at iteration 0
     is the start point itself, the same array.  The step of
     :func:`_trial_step` is computed once the start point fails its certificate.
+
+    An iterate that stopped moving raises :class:`SolverError` with the
+    iterate it failed to leave.  The arrays are compared one iteration late,
+    and only when the margin repeats (or is nan), and once more after the
+    last iteration: an iterate equal to the one before has the same gradient
+    up to the sign of a zero entry, so the same margin, which is below
+    ``-solver_tol`` and so never a zero of either sign.  The error is the one
+    a comparison after every projection raises, with the same iterations,
+    margin and ``last_iterate``.
     """
     mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
@@ -202,7 +233,7 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
     else:
         y = project_simplex(np.asarray(start, dtype=float), mass)
     tol = game.solver_tol
-    margin = 0.0
+    y_prev, margin_prev = None, 0.0
     for it in range(MAX_ITER):
         grad = poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
@@ -210,13 +241,14 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
             return y, margin, it
         if it == 0:
             t = _trial_step(coeffs, mass)
-        y_new = project_simplex(y - t * grad, mass)
-        if np.array_equal(y_new, y):
-            raise SolverError("iterate stopped moving before reaching the VI certificate",
-                              last_iterate=y, vi_margin=margin, iterations=it)
-        y = y_new
+        elif (margin == margin_prev or margin != margin) and np.array_equal(y, y_prev):
+            raise _stalled(y_prev, margin_prev, it - 1)
+        y_prev, margin_prev = y, margin
+        y = project_simplex(y - t * grad, mass)
+    if np.array_equal(y, y_prev):
+        raise _stalled(y_prev, margin_prev, MAX_ITER - 1)
     raise SolverError(f"no VI certificate after {MAX_ITER} iterations",
-                      last_iterate=y, vi_margin=margin, iterations=MAX_ITER)
+                      last_iterate=y, vi_margin=margin_prev, iterations=MAX_ITER)
 
 
 def solve_bwe(config: GameConfig, theta: float, *,
@@ -245,10 +277,12 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     Family one weighs the latency gap between a recommended link and any fixed
     deviation by the recommendation mass; family two weighs it by the witness
     response itself.  A signal passes when every pairwise slack is at most
-    ``tol``.
+    ``tol``, which must be finite and nonnegative.
     """
     if tol is None:
         tol = config.solver_tol
+    if not 0.0 <= tol < inf:  # NaN fails too
+        raise ConfigurationError(f"tol must be finite and nonnegative, got {tol}")
     y0 = solve_bwe(config, 0.0)
     coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi
     full = np.stack([

@@ -327,13 +327,20 @@ def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Evaluate, per link i, the polynomial with coefficients ``coeffs[:, i]`` at ``f[i]``.
 
     Horner's rule from the top coefficient down; the kernel behind latencies
-    and the best response's gradient.  Its first multiply makes the result a
-    new array, so only a constant polynomial needs a copy.
+    and the best response's gradient.  The first multiply makes the result a
+    new array and every later add and multiply writes into it, in the same
+    order as ``out = out * f + coeffs[d]``, so the bits are those of the
+    out-of-place rule with one allocation.  Only a constant polynomial needs
+    a copy.
     """
-    out = coeffs[-1]
-    for d in range(coeffs.shape[0] - 2, -1, -1):
-        out = out * f + coeffs[d]
-    return out if coeffs.shape[0] > 1 else np.array(out)
+    if coeffs.shape[0] == 1:
+        return np.array(coeffs[0])
+    out = coeffs[-1] * f
+    for d in range(coeffs.shape[0] - 2, 0, -1):
+        out += coeffs[d]
+        out *= f
+    out += coeffs[0]
+    return out
 
 
 def m_max_default(model: LatencyModel) -> float:
@@ -395,7 +402,7 @@ class CompiledGame:
             solver_tol=config.solver_tol,
             coeffs=coeffs,
             mu0=mu0,
-            cum_prior=tuple(np.cumsum(mu0).tolist()),
+            cum_prior=tuple(np.add.accumulate(mu0).tolist()),
             pi=pi,
             shift=np.stack([rerouting_shift(config.disobedience.matrix, row) for row in pi]),
             rerouting=config.disobedience.matrix,

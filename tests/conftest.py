@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from routegame import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Signal)
+from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
+                       Signal)
 
 # Affine two-link, two-state benchmark network used throughout: constants
 # (5, 25) / (20, 15) and slopes (4, 2) / (1, 2) per state.
@@ -115,3 +117,60 @@ def delta_tilde(k: int, beta_min: float) -> float:
         return 0.0
     t = np.arange(2, k + 1, dtype=float)
     return float(np.sum((1.0 - beta_min) ** (k - t) / t))
+
+
+def reference_project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
+    """Sort-and-threshold projection onto {y >= 0, sum(y) = mass}, written out of place.
+
+    The byte reference for ``equilibrium.project_simplex``, which builds the
+    same quantities in place.
+    """
+    if mass < 0:
+        raise ConfigurationError(f"simplex mass must be nonnegative, got {mass}")
+    v = np.asarray(v, dtype=float)
+    if mass == 0.0:
+        return np.zeros_like(v)
+    u = np.sort(v)[::-1]
+    cssv = np.cumsum(u) - mass
+    idx = np.arange(1, v.size + 1)
+    rho = idx[u - cssv / idx > 0][-1]
+    tau = cssv[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
+def reference_poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Horner's rule written out of place; the byte reference for ``model.poly_rows``."""
+    out = coeffs[-1]
+    for d in range(coeffs.shape[0] - 2, -1, -1):
+        out = out * f + coeffs[d]
+    return out if coeffs.shape[0] > 1 else np.array(out)
+
+
+@st.composite
+def edge_vectors(draw, min_size: int = 2, max_size: int = 1024) -> np.ndarray:
+    """Float vectors with ties, signed and exact zeros, 1-ulp neighbours.
+
+    Entry magnitudes span 1e-300 to 1e300, within one vector or across them.
+    """
+    n = draw(st.integers(min_size, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-300, 300))
+    high = draw(st.integers(low, 300))
+    v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(low, high, size=n)
+    ties = rng.integers(0, n, size=draw(st.integers(0, n)))
+    v[ties] = v[rng.integers(0, n)]
+    zeros = rng.integers(0, n, size=draw(st.integers(0, n)))
+    v[zeros] = rng.choice([0.0, -0.0], size=zeros.size)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = rng.integers(0, n, size=2)
+        v[j] = np.nextafter(v[i], rng.choice([-np.inf, np.inf]))
+    return v
+
+
+def kernel_outcome(kernel, *args):
+    """The bytes a kernel returns, or IndexError for the projection's empty threshold set."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return kernel(*args).tobytes()
+        except IndexError:
+            return IndexError

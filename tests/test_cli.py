@@ -411,6 +411,13 @@ class TestCheckObedienceCommand:
         assert main(["check-obedience", "--config", str(path), "--tol", "1e-3"]) == 0
         assert "(tol=0.001)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_one(self, capsys, tol):
+        # nan and -1 used to report "NOT obedient" and exit 2 on a config whose worst slacks are 0
+        rc = main(["check-obedience", "--config", str(PAPER_CONFIG), f"--tol={tol}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tol must be finite and nonnegative")
+
     def test_json_report(self, capsys):
         rc = main(["check-obedience", "--config", str(PAPER_CONFIG), "--json"])
         assert rc == 0

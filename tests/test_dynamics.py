@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import logging
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -652,3 +653,27 @@ class TestMemory:
             tracemalloc.stop()
         assert (tmp_path / "run.csv").stat().st_size > 256 * 1024  # a buffered file would show
         assert peak < 192 * 1024, peak
+
+    @pytest.mark.skipif(not hasattr(sys, "_clear_type_cache"), reason="CPython type cache")
+    def test_solves_leave_no_name_strings_in_the_type_cache(self):
+        # ndarray.cumsum and the flags.writeable setter look a method up by a
+        # name string made for the call, which the type method cache may keep
+        # alive in a slot picked by its address: the traced memory a run holds
+        # then changed from one process to the next.
+        config = replace(cubic_config(n=32), rounds=20)
+        simulate(config)
+        equilibrium.check_obedience(config)
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs")
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                simulate(config)
+                equilibrium.check_obedience(config)
+            held = tracemalloc.get_traced_memory()[0]
+            sys._clear_type_cache()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a name string is 56-59 bytes; a lookup per call held kilobytes
+        assert freed < 256, freed

@@ -14,9 +14,10 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
                        project_simplex, simulate, solve_bwe, verify_vi)
 from routegame.equilibrium import (_potential_from_coeffs, _trial_step, _vi_margin,
                                    best_response, response_coeffs)
-from routegame.model import CompiledGame, poly_rows
+from routegame.model import CompiledGame
 
-from conftest import benchmark_config, grid_best_response, random_affine_config
+from conftest import (benchmark_config, edge_vectors, grid_best_response, kernel_outcome,
+                      random_affine_config, reference_poly_rows, reference_project_simplex)
 from test_golden import cubic_config
 
 ARMIJO_C1 = 1e-4
@@ -24,23 +25,26 @@ NOISE_GUARD = 1e-14
 
 
 def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, theta: float,
-                         start: np.ndarray | None, halvings: list):
+                         start: np.ndarray | None, halvings: list,
+                         project=reference_project_simplex):
     """Projected gradient with a halving Armijo line search that starts at the fixed step.
 
     The reference that the fixed-step ``best_response`` is checked against: the
     same iteration, with every step tested for sufficient decrease of the
-    potential and halved until it passes.  Each halved step is appended to
-    ``halvings``.
+    potential and halved until it passes, and the stall test made eagerly
+    after every projection.  Each halved step is appended to ``halvings``.
+    Gradients and projections come from the out-of-place reference kernels,
+    not from the package's.
     """
     mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
         return np.zeros(n), 0.0, 0
     coeffs = response_coeffs(game, pi, shift, theta)
-    y = np.full(n, mass / n) if start is None else project_simplex(start, mass)
+    y = np.full(n, mass / n) if start is None else project(start, mass)
     phi = t_init = None
     margin = 0.0
     for it in range(equilibrium.MAX_ITER):
-        grad = poly_rows(coeffs, y)
+        grad = reference_poly_rows(coeffs, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -game.solver_tol:
             return y, margin, it
@@ -51,7 +55,7 @@ def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, 
         # slack for potential differences below representable precision
         guard = NOISE_GUARD * max(1.0, abs(phi))
         while True:
-            y_new = project_simplex(y - t * grad, mass)
+            y_new = project(y - t * grad, mass)
             phi_new = _potential_from_coeffs(coeffs, y_new)
             if phi_new <= phi + ARMIJO_C1 * float(grad @ (y_new - y)) + guard:
                 break
@@ -129,6 +133,42 @@ class TestFixedStep:
         assert exc.vi_margin < -config.solver_tol
         assert np.all(exc.last_iterate >= 0.0)
         assert exc.last_iterate.sum() == pytest.approx(mass, abs=1e-12)
+
+    @pytest.mark.parametrize("max_iter, k",
+                             [(m, k) for m in (1, 2, 3) for k in sorted({0, 1, m - 1})])
+    def test_stall_matches_armijo_reference(self, max_iter, k, monkeypatch):
+        """A projection that returns the current iterate at call k raises as the reference does.
+
+        The reference compares arrays after every projection.  k counts the
+        loop's projections (the start is the uniform point, which is not
+        projected); k >= max_iter never stalls and ends at the iteration cap.
+        """
+        config = cubic_config()
+        game = CompiledGame.of(config)
+        n = config.latency.n
+        monkeypatch.setattr(equilibrium, "MAX_ITER", max_iter)
+
+        def stalling(project):
+            iterates = [np.full(n, game.mass / n)]
+
+            def projection(v, mass):
+                out = iterates[-1].copy() if len(iterates) == k + 1 else project(v, mass)
+                iterates.append(out)
+                return out
+            return projection
+
+        args = (game, game.pi, game.shift, 0.3, None)
+        ref_error, ref_y, ref_margin, ref_it = _outcome(
+            armijo_best_response, *args, [], stalling(reference_project_simplex))
+        monkeypatch.setattr(equilibrium, "project_simplex", stalling(equilibrium.project_simplex))
+        error, y, margin, it = _outcome(best_response, *args)
+        if k < max_iter:
+            assert ref_error == "iterate stopped moving before reaching the VI certificate"
+            assert ref_it == k
+        else:
+            assert ref_error == f"no VI certificate after {max_iter} iterations"
+            assert ref_it == max_iter
+        assert (error, y.tobytes(), margin, it) == (ref_error, ref_y.tobytes(), ref_margin, ref_it)
 
     def test_iteration_cap_in_simulate_names_the_round(self, monkeypatch):
         monkeypatch.setattr(equilibrium, "MAX_ITER", 2)
@@ -253,6 +293,22 @@ class TestProjection:
 
     def test_zero_mass(self):
         assert np.array_equal(project_simplex(np.array([0.3, -0.2]), 0.0), np.zeros(2))
+
+    @given(edge_vectors(), st.sampled_from(["near zero", "any", "entry scale"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_out_of_place_reference(self, v, scale, data):
+        # A mass below half an ulp of the largest entry leaves no threshold:
+        # both kernels raise, as many draws of the first two kinds do.
+        if scale == "near zero":
+            mass = data.draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-16, 1e-8]))
+        elif scale == "any":
+            mass = data.draw(st.floats(1e-300, 1e300))
+        else:
+            mass = data.draw(st.floats(1e-3, 1e3)) * (float(np.abs(v).max()) or 1.0)
+        before = v.tobytes()
+        assert kernel_outcome(project_simplex, v, mass) == kernel_outcome(
+            reference_project_simplex, v, mass)
+        assert v.tobytes() == before
 
 
 class TestSolveBwe:
@@ -446,6 +502,11 @@ class TestObedience:
         assert not report.obedient
         assert report.obedience_slacks[1, 0] == pytest.approx(0.5, abs=1e-12)
         assert report.worst_obedience_slack == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, paper_config, tol):
+        with pytest.raises(ConfigurationError, match="tol must be finite and nonnegative"):
+            check_obedience(paper_config, tol=tol)
 
     def test_random_configs_match_brute_force(self):
         rng = np.random.default_rng(23)

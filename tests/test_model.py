@@ -12,7 +12,8 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
 from routegame.dynamics import payoff_gap
 from routegame.model import CompiledGame, flows, poly_rows, rerouting_shift
 
-from conftest import affine_latency, benchmark_config
+from conftest import (affine_latency, benchmark_config, edge_vectors, kernel_outcome,
+                      reference_poly_rows)
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -82,6 +83,19 @@ class TestPolyRows:
             got = poly_rows(rows, f)
             assert got.tobytes() == want.tobytes()
             assert got.flags.writeable and not np.shares_memory(got, coeffs)
+
+    @given(st.integers(0, 4), st.integers(1, 3), edge_vectors(max_size=256),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_out_of_place_reference(self, degree, states, f, seed):
+        rng = np.random.default_rng(seed)
+        shape = (degree + 1, states, f.size)
+        coeffs = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        per_state = np.stack([np.roll(f, w) for w in range(states)])
+        for rows, x in [(coeffs[:, 0, :], f), (coeffs, per_state)]:
+            assert kernel_outcome(poly_rows, rows, x) == kernel_outcome(
+                reference_poly_rows, rows, x)
 
 
 class TestMMaxDefault:
