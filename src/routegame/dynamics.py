@@ -188,7 +188,11 @@ def step(config: GameConfig, state: SimulationState,
     best response reads every state's row, so a round with mass left to
     respond rescales them all once, with :meth:`CompiledGame.signal_at`; at
     nu = 1 there is none, and the round rescales only the drawn state's row,
-    with :meth:`CompiledGame.row_at`.  Both give the same bits.
+    with :meth:`CompiledGame.row_at`.  Both give the same bits.  Likewise a
+    round with mass to respond computes the forecast flows of every state
+    once, for the best response, and reads the drawn state's ``x_hat`` as
+    their row ``omega``: flows are elementwise, so that row has the bits of
+    the row computed alone, which is what a round at nu = 1 computes.
     """
     game = CompiledGame.of(config) if state.game is None else state.game
     k = state.k
@@ -198,17 +202,17 @@ def step(config: GameConfig, state: SimulationState,
     # Under dynamic nu the participating mass follows the last round's theta.
     # With no mass to best-respond, nothing reads the other states' rows.
     if game.mass == 0.0:
-        pi = shift = None
         pi_w, shift_w = game.row_at(omega, state.nu_current)
+        forecast, x_hat = None, flows(pi_w, shift_w, state.theta_hat)
     else:
         pi, shift = game.signal_at(state.nu_current)
         pi_w, shift_w = pi[omega], shift[omega]
+        forecast = flows(pi, shift, state.theta_hat)
+        x_hat = forecast[omega]
     x = flows(pi_w, shift_w, theta)
-    x_hat = flows(pi_w, shift_w, state.theta_hat)
     start = state.y_warm
     try:
-        y, _, iterations = best_response(game, pi, shift, state.theta_hat, start,
-                                         state.y_warm_fixed)
+        y, _, iterations = best_response(game, forecast, start, state.y_warm_fixed)
     except SolverError as exc:
         raise SolverError(f"round {k}: {exc}", last_iterate=exc.last_iterate,
                           vi_margin=exc.vi_margin, iterations=exc.iterations) from exc
@@ -231,6 +235,8 @@ def step(config: GameConfig, state: SimulationState,
     nu_next = theta if game.dynamic_nu else state.nu_current
     y_fixed = iterations == 0 and start is not None and (
         state.y_warm_fixed or y.tobytes() == start.tobytes())
+    gap = x - pi_w
+    np.abs(gap, out=gap)
 
     record = TrajectoryRecord(
         k=k,
@@ -244,7 +250,7 @@ def step(config: GameConfig, state: SimulationState,
         u=u,
         m_next=m_next,
         e_theta=theta - state.theta_hat,
-        flow_gap=float(np.abs(x - pi_w).max()),
+        flow_gap=float(gap.max()),
     )
     if into is not None:
         i = k - 1

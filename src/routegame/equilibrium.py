@@ -74,6 +74,9 @@ class ObedienceReport:
         }
 
 
+_RANKS: dict[int, np.ndarray] = {}  # 1.0 .. n per length n; read-only, so callers share them
+
+
 def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     """Euclidean projection onto {y >= 0, sum(y) = mass} by sort and threshold.
 
@@ -88,6 +91,14 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     ``cumsum`` reaches it by a name string made for each call, which Python
     3.11's type method cache may keep alive in a slot picked by its address,
     so the traced peak memory of a run varied by kilobytes between processes.
+    The ranks 1 .. n are one cached read-only array per n.
+
+    When no rank has u > q, as for a mass below half an ulp of the largest
+    entry, rank 1 failed, so u[0] - mass rounded to u[0] and the mass is at
+    most half the spacing below u[0].  The exact projection is then the
+    entries tied at the maximum sharing the mass equally: the next distinct
+    entry lies at least one spacing below, farther than the mass, so it
+    stays at zero.
     """
     if mass < 0:
         raise ConfigurationError(f"simplex mass must be nonnegative, got {mass}")
@@ -99,27 +110,39 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     u = u[::-1]
     q = np.add.accumulate(u)
     q -= mass
-    q /= np.arange(1.0, v.size + 1.0)
-    tau = q[(u > q).nonzero()[0][-1]]
-    out = v - tau
+    ranks = _RANKS.get(v.size)
+    if ranks is None:
+        ranks = _RANKS[v.size] = np.arange(1.0, v.size + 1.0)
+        ranks.setflags(write=False)
+    q /= ranks
+    passing = (u > q).nonzero()[0]
+    if not passing.size:
+        top = v == u[0]
+        return top * (mass / np.count_nonzero(top))
+    out = v - q[passing[-1]]
     np.maximum(out, 0.0, out=out)
     return out
 
 
-def response_coeffs(game: CompiledGame, pi: np.ndarray, shift: np.ndarray,
-                    theta: float) -> np.ndarray:
+def response_coeffs(game: CompiledGame, xhat: np.ndarray) -> np.ndarray:
     """Coefficients c[p, i] of the expected latency on link i as a polynomial in y_i.
 
-    Expands each latency term around the forecast participating flows for the
-    given theta and averages over the prior.  The d = p terms are compiled;
-    the others are added to them in the expansion's order.
+    Expands each latency term around ``xhat``, the forecast participating
+    flows of every state (one row each), and averages over the prior.  The
+    d = p terms are compiled; row p adds the terms of d = p + 1, p + 2, ...
+    to them in that order.  Each power of ``xhat`` is computed once, the
+    first is ``xhat`` itself, and a binomial of 1 multiplies nothing.
     """
-    xhat = flows(pi, shift, theta)
+    coeffs, mu0 = game.coeffs, game.mu0
+    top = coeffs.shape[0] - 1
+    powers = [None, xhat] + [xhat ** k for k in range(2, top + 1)]
     out = game.response_const.copy()
-    for d in range(1, game.coeffs.shape[0]):
-        alpha_d = game.coeffs[d]
-        for p in range(d):
-            out[p] += comb(d, p) * (game.mu0 @ (alpha_d * xhat ** (d - p)))
+    for p in range(top):
+        row = out[p]
+        for d in range(p + 1, top + 1):
+            term = mu0 @ (coeffs[d] * powers[d - p])
+            binomial = comb(d, p)
+            row += term if binomial == 1 else binomial * term
     return out
 
 
@@ -128,17 +151,17 @@ def _potential_from_coeffs(coeffs: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(coeffs / powers * y ** powers))
 
 
-def _trial_step(coeffs: np.ndarray, mass: float) -> float:
+def _trial_step(game: CompiledGame, coeffs: np.ndarray) -> float:
     """The solver's step, min(1, 1/L) for L the gradient's Lipschitz bound on the scaled simplex.
 
     The Hessian is diagonal with |entry i| <= sum_p p |c[p, i]| mass**(p - 1) there, so
     any step <= 1/L gives phi(y+) <= phi(y) + grad . (y+ - y) / 2 <= phi(y), convex or
     not (Beck and Teboulle 2009, Lemma 2.3): every step descends, with no line search.
+    The columns p and mass**(p - 1) are compiled with the game.
     """
     if coeffs.shape[0] < 2:
         return 1.0
-    p = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
-    lip = float((p * np.abs(coeffs[1:]) * mass ** (p - 1.0)).sum(axis=0).max())
+    lip = float((game.step_rank * np.abs(coeffs[1:]) * game.step_mass_powers).sum(axis=0).max())
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
 
 
@@ -175,11 +198,11 @@ def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
     _check_unit_interval(theta, "theta")
     y = _check_candidate(y, config.latency.n)
     game = CompiledGame.of(config)
-    return _potential_from_coeffs(response_coeffs(game, game.pi, game.shift, theta), y)
+    return _potential_from_coeffs(response_coeffs(game, flows(game.pi, game.shift, theta)), y)
 
 
 def _vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
-    return float(mass * grad.min() - grad @ y)
+    return mass * float(grad.min()) - float(grad.dot(y))
 
 
 def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
@@ -200,18 +223,19 @@ def _stalled(y: np.ndarray, margin: float, iterations: int) -> SolverError:
                        last_iterate=y, vi_margin=margin, iterations=iterations)
 
 
-def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray | None,
-                  theta: float, start: np.ndarray | None = None, start_fixed: bool = False):
-    """Kernel of :func:`solve_bwe` on a compiled game, for recommendation rows ``pi``.
+def best_response(game: CompiledGame, xhat: np.ndarray | None,
+                  start: np.ndarray | None = None, start_fixed: bool = False):
+    """Kernel of :func:`solve_bwe` on a compiled game, for the forecast flows ``xhat``.
 
-    Returns ``(y, vi_margin, iterations)``.  A zero response mass reads
-    neither ``pi`` nor ``shift``, so a caller may pass None for both.
-    ``start`` is projected, not checked, unless ``start_fixed`` says it is a
-    float array whose projection onto the simplex of mass ``game.mass`` has
-    its own bytes; then it is used as is, which gives the same bits, since the
-    projection is a pure function.  A response that certifies at iteration 0
-    is the start point itself, the same array.  The step of
-    :func:`_trial_step` is computed once the start point fails its certificate.
+    ``xhat`` holds one row of forecast participating flows per state.
+    Returns ``(y, vi_margin, iterations)``.  A zero response mass does not
+    read ``xhat``.  ``start`` is projected, not checked, unless
+    ``start_fixed`` says it is a float array whose projection onto the
+    simplex of mass ``game.mass`` has its own bytes; then it is used as is,
+    which gives the same bits, since the projection is a pure function.  A response that certifies at iteration 0
+    is the start point itself, the same array.  The coefficients are computed
+    and split into rows once per solve; the step of :func:`_trial_step` is
+    computed once the start point fails its certificate.
 
     An iterate that stopped moving raises :class:`SolverError` with the
     iterate it failed to leave.  The arrays are compared one iteration late,
@@ -225,7 +249,8 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
     mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
         return np.zeros(n), 0.0, 0
-    coeffs = response_coeffs(game, pi, shift, theta)
+    coeffs = response_coeffs(game, xhat)
+    rows = tuple(coeffs)
     if start is None:
         y = np.full(n, mass / n)
     elif start_fixed:
@@ -235,12 +260,12 @@ def best_response(game: CompiledGame, pi: np.ndarray | None, shift: np.ndarray |
     tol = game.solver_tol
     y_prev, margin_prev = None, 0.0
     for it in range(MAX_ITER):
-        grad = poly_rows(coeffs, y)
+        grad = poly_rows(rows, y)
         margin = _vi_margin(grad, y, mass)
         if margin >= -tol:
             return y, margin, it
         if it == 0:
-            t = _trial_step(coeffs, mass)
+            t = _trial_step(game, coeffs)
         elif (margin == margin_prev or margin != margin) and np.array_equal(y, y_prev):
             raise _stalled(y_prev, margin_prev, it - 1)
         y_prev, margin_prev = y, margin
@@ -267,7 +292,7 @@ def solve_bwe(config: GameConfig, theta: float, *,
         return BestResponse(y=np.zeros(config.latency.n), theta=theta, vi_margin=0.0,
                             iterations=0)
     game = CompiledGame.of(config)
-    y, margin, it = best_response(game, game.pi, game.shift, theta, start)
+    y, margin, it = best_response(game, flows(game.pi, game.shift, theta), start)
     return BestResponse(y=y, theta=theta, vi_margin=margin, iterations=it)
 
 
@@ -285,9 +310,7 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
         raise ConfigurationError(f"tol must be finite and nonnegative, got {tol}")
     y0 = solve_bwe(config, 0.0)
     coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi
-    full = np.stack([
-        poly_rows(coeffs[:, w, :], pi[w] + y0.y) for w in range(pi.shape[0])
-    ])                                        # full[w, i] = latency on i in state w
+    full = poly_rows(coeffs, pi + y0.y)      # full[w, i] = latency on i in state w
     gap = full[:, :, None] - full[:, None, :]  # gap[w, i, j] = cost of i minus cost of j
     obedience = np.einsum("w,wi,wij->ij", mu0, pi, gap)
     expected = mu0 @ full

@@ -323,7 +323,7 @@ class GameConfig:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
-def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
+def poly_rows(coeffs, f: np.ndarray) -> np.ndarray:
     """Evaluate, per link i, the polynomial with coefficients ``coeffs[:, i]`` at ``f[i]``.
 
     Horner's rule from the top coefficient down; the kernel behind latencies
@@ -331,12 +331,13 @@ def poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     new array and every later add and multiply writes into it, in the same
     order as ``out = out * f + coeffs[d]``, so the bits are those of the
     out-of-place rule with one allocation.  Only a constant polynomial needs
-    a copy.
+    a copy.  ``coeffs`` is an array or any sequence of its rows; the solver
+    passes a tuple of rows, split once, so no iteration indexes the array.
     """
-    if coeffs.shape[0] == 1:
+    if len(coeffs) == 1:
         return np.array(coeffs[0])
     out = coeffs[-1] * f
-    for d in range(coeffs.shape[0] - 2, 0, -1):
+    for d in range(len(coeffs) - 2, 0, -1):
         out += coeffs[d]
         out *= f
     out += coeffs[0]
@@ -361,6 +362,14 @@ def flows(pi: np.ndarray, shift: np.ndarray, theta: float) -> np.ndarray:
     return pi + theta * shift
 
 
+def _shifts(matrix: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """:func:`rerouting_shift` of each recommendation row, written into one array."""
+    out = np.empty_like(pi)
+    for w, row in enumerate(pi):
+        out[w] = rerouting_shift(matrix, row)
+    return out
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class CompiledGame:
     """Constants of the round loop, derived once from a validated :class:`GameConfig`.
@@ -370,6 +379,8 @@ class CompiledGame:
     flows have its bits.
     ``response_const`` holds the d = p terms of the best response's binomial
     expansion, the only ones that do not depend on the forecast flows.
+    ``step_rank`` and ``step_mass_powers`` are the columns p and
+    ``mass ** (p - 1)``, p = 1 .. degree, of the solver's Lipschitz bound.
     """
 
     nu: float
@@ -383,6 +394,8 @@ class CompiledGame:
     shift: np.ndarray                   # row w: rerouting_shift(D, pi[w])
     rerouting: np.ndarray               # disobedience matrix D
     response_const: np.ndarray          # (degree + 1, links)
+    step_rank: np.ndarray               # (degree, 1) column 1.0 .. degree
+    step_mass_powers: np.ndarray        # (degree, 1) column mass ** (step_rank - 1)
     discount: float | None              # set for the discounted scenario only
     dynamic_nu: bool
     schedule: BetaSchedule | None       # smoothing estimator only
@@ -394,19 +407,23 @@ class CompiledGame:
         const = np.zeros((coeffs.shape[0], coeffs.shape[2]))
         for p in range(coeffs.shape[0]):
             const[p] += mu0 @ coeffs[p]
+        mass = 1.0 - config.signal.nu
+        rank = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
         est = config.estimator
         return cls(
             nu=config.signal.nu,
-            mass=1.0 - config.signal.nu,
+            mass=mass,
             m_max=config.m_max,
             solver_tol=config.solver_tol,
             coeffs=coeffs,
             mu0=mu0,
             cum_prior=tuple(np.add.accumulate(mu0).tolist()),
             pi=pi,
-            shift=np.stack([rerouting_shift(config.disobedience.matrix, row) for row in pi]),
+            shift=_shifts(config.disobedience.matrix, pi),
             rerouting=config.disobedience.matrix,
             response_const=const,
+            step_rank=rank,
+            step_mass_powers=mass ** (rank - 1.0),
             discount=config.scenario.discount,
             dynamic_nu=config.scenario.kind == "dynamic_nu",
             schedule=est.schedule if isinstance(est, SmoothingSpec) else None,
@@ -423,10 +440,7 @@ class CompiledGame:
         pi = _rescaled(self.pi, self.nu, nu_current)
         if pi is self.pi:
             return self.pi, self.shift
-        shift = np.empty_like(pi)
-        for w, row in enumerate(pi):
-            shift[w] = rerouting_shift(self.rerouting, row)
-        return pi, shift
+        return pi, _shifts(self.rerouting, pi)
 
     def row_at(self, w: int, nu_current: float) -> tuple[np.ndarray, np.ndarray]:
         """Row ``w`` of :meth:`signal_at` and its shift, with the same bits, computed alone.

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
                        Signal)
+from routegame.model import CompiledGame, flows
 
 # Affine two-link, two-state benchmark network used throughout: constants
 # (5, 25) / (20, 15) and slopes (4, 2) / (1, 2) per state.
@@ -123,7 +126,9 @@ def reference_project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     """Sort-and-threshold projection onto {y >= 0, sum(y) = mass}, written out of place.
 
     The byte reference for ``equilibrium.project_simplex``, which builds the
-    same quantities in place.
+    same quantities in place.  When no rank passes the threshold test (a mass
+    below half an ulp of the largest entry), the entries tied at the maximum
+    share the mass equally, which is the exact projection.
     """
     if mass < 0:
         raise ConfigurationError(f"simplex mass must be nonnegative, got {mass}")
@@ -133,7 +138,11 @@ def reference_project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     u = np.sort(v)[::-1]
     cssv = np.cumsum(u) - mass
     idx = np.arange(1, v.size + 1)
-    rho = idx[u - cssv / idx > 0][-1]
+    passing = idx[u - cssv / idx > 0]
+    if passing.size == 0:
+        top = v == u[0]
+        return np.where(top, mass / top.sum(), 0.0)
+    rho = passing[-1]
     tau = cssv[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
 
@@ -168,9 +177,40 @@ def edge_vectors(draw, min_size: int = 2, max_size: int = 1024) -> np.ndarray:
 
 
 def kernel_outcome(kernel, *args):
-    """The bytes a kernel returns, or IndexError for the projection's empty threshold set."""
+    """The bytes a kernel returns, with overflow to inf and nan allowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return kernel(*args).tobytes()
-        except IndexError:
-            return IndexError
+        return kernel(*args).tobytes()
+
+
+def reference_response_coeffs(game: CompiledGame, pi: np.ndarray, shift: np.ndarray,
+                              theta: float) -> np.ndarray:
+    """The expansion with every power and binomial taken per term, as first written.
+
+    The byte reference for ``equilibrium.response_coeffs``, which takes the
+    forecast flows, computes each power once and skips binomials of 1.
+    """
+    xhat = flows(pi, shift, theta)
+    out = game.response_const.copy()
+    for d in range(1, game.coeffs.shape[0]):
+        alpha_d = game.coeffs[d]
+        for p in range(d):
+            out[p] += comb(d, p) * (game.mu0 @ (alpha_d * xhat ** (d - p)))
+    return out
+
+
+def reference_trial_step(coeffs: np.ndarray, mass: float) -> float:
+    """The fixed step with its rank and mass-power columns built per call.
+
+    The byte reference for ``equilibrium._trial_step``, which reads both
+    columns from the compiled game.
+    """
+    if coeffs.shape[0] < 2:
+        return 1.0
+    p = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
+    lip = float((p * np.abs(coeffs[1:]) * mass ** (p - 1.0)).sum(axis=0).max())
+    return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
+
+
+def reference_vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
+    """The vertex VI margin through ``ndarray.min`` and ``@``; the reference for ``_vi_margin``."""
+    return float(mass * grad.min() - grad @ y)

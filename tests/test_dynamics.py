@@ -445,8 +445,8 @@ def projecting_step_loop(config: GameConfig) -> Trajectory:
     """Reference run: every round after the first projects its warm start again."""
     solve = dynamics.best_response
 
-    def projecting(game, pi, shift, theta, start, start_fixed=False):
-        return solve(game, pi, shift, theta, start)
+    def projecting(game, xhat, start, start_fixed=False):
+        return solve(game, xhat, start)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "best_response", projecting)
@@ -594,6 +594,8 @@ class TestRowPath:
         for column in COLUMNS:
             assert same_bytes(getattr(got, column), getattr(want, column)), column
         game = CompiledGame.of(config)
+        assert same_bytes(game.shift, np.stack([rerouting_shift(game.rerouting, row)
+                                                for row in game.pi]))
         for v in (game.nu, 0.0, *masses):
             pi, shift = game.signal_at(v)
             pi_ref, shift_ref = stacked_signal_at(game, v)
@@ -618,6 +620,33 @@ class TestRowPath:
         monkeypatch.setattr(model, "rerouting_shift", counting)
         simulate(replace(case(name)[0], rounds=50))
         assert len(counted) == calls
+
+
+class TestForecastRow:
+    """``x_hat`` has the bits of the drawn state's forecast flows computed alone.
+
+    A round with mass to respond reads it as a row of every state's forecast
+    flows; a round at nu = 1 computes the row alone.
+    """
+
+    @pytest.mark.parametrize("estimator", ["smoothing", "luenberger"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("base", ["paper_affine", "paper_affine_nu1", "cubic_n8"])
+    def test_x_hat_has_the_bits_of_its_row_alone(self, base, scenario, estimator):
+        config = cubic_config() if base == "cubic_n8" else load_config(
+            PAPER_CONFIG.with_name(f"{base}.yaml"))
+        config = replace(config, scenario=SCENARIOS[scenario], rounds=60)
+        if estimator == "luenberger":
+            config = replace(config, estimator=LuenbergerSpec.from_scalar(0.01, config.latency.n))
+        game, state = CompiledGame.of(config), initial_state(config)
+        trajectory = simulate(config)
+        for i in range(config.rounds):
+            nu_current = state.nu_current
+            state, record = step(config, state)
+            pi_w, shift_w = game.row_at(record.omega, nu_current)
+            want = flows(pi_w, shift_w, record.theta_hat)
+            assert same_bytes(record.x_hat, want), record.k
+            assert same_bytes(trajectory.x_hat[i], want), record.k
 
 
 class TestMemory:

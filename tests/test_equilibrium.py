@@ -14,10 +14,11 @@ from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, Laten
                        project_simplex, simulate, solve_bwe, verify_vi)
 from routegame.equilibrium import (_potential_from_coeffs, _trial_step, _vi_margin,
                                    best_response, response_coeffs)
-from routegame.model import CompiledGame
+from routegame.model import CompiledGame, flows, poly_rows
 
 from conftest import (benchmark_config, edge_vectors, grid_best_response, kernel_outcome,
-                      random_affine_config, reference_poly_rows, reference_project_simplex)
+                      random_affine_config, reference_poly_rows, reference_project_simplex,
+                      reference_response_coeffs, reference_trial_step, reference_vi_margin)
 from test_golden import cubic_config
 
 ARMIJO_C1 = 1e-4
@@ -33,24 +34,24 @@ def armijo_best_response(game: CompiledGame, pi: np.ndarray, shift: np.ndarray, 
     same iteration, with every step tested for sufficient decrease of the
     potential and halved until it passes, and the stall test made eagerly
     after every projection.  Each halved step is appended to ``halvings``.
-    Gradients and projections come from the out-of-place reference kernels,
-    not from the package's.
+    Coefficients, step, gradients, margins and projections come from the
+    reference kernels of ``conftest``, not from the package's.
     """
     mass, n = game.mass, pi.shape[1]
     if mass == 0.0:
         return np.zeros(n), 0.0, 0
-    coeffs = response_coeffs(game, pi, shift, theta)
+    coeffs = reference_response_coeffs(game, pi, shift, theta)
     y = np.full(n, mass / n) if start is None else project(start, mass)
     phi = t_init = None
     margin = 0.0
     for it in range(equilibrium.MAX_ITER):
         grad = reference_poly_rows(coeffs, y)
-        margin = _vi_margin(grad, y, mass)
+        margin = reference_vi_margin(grad, y, mass)
         if margin >= -game.solver_tol:
             return y, margin, it
         if phi is None:
             phi = _potential_from_coeffs(coeffs, y)
-            t_init = _trial_step(coeffs, mass)
+            t_init = reference_trial_step(coeffs, mass)
         t = t_init
         # slack for potential differences below representable precision
         guard = NOISE_GUARD * max(1.0, abs(phi))
@@ -115,7 +116,8 @@ class TestFixedStep:
         config, theta, start = instance
         game = CompiledGame.of(config)
         args, halvings = (game, game.pi, game.shift, theta, start), []
-        error, y, margin, it = _outcome(best_response, *args)
+        xhat = flows(game.pi, game.shift, theta)
+        error, y, margin, it = _outcome(best_response, game, xhat, start)
         ref_error, ref_y, ref_margin, ref_it = _outcome(armijo_best_response, *args, halvings)
         assert halvings == []
         assert error == ref_error
@@ -157,11 +159,11 @@ class TestFixedStep:
                 return out
             return projection
 
-        args = (game, game.pi, game.shift, 0.3, None)
         ref_error, ref_y, ref_margin, ref_it = _outcome(
-            armijo_best_response, *args, [], stalling(reference_project_simplex))
+            armijo_best_response, game, game.pi, game.shift, 0.3, None, [],
+            stalling(reference_project_simplex))
         monkeypatch.setattr(equilibrium, "project_simplex", stalling(equilibrium.project_simplex))
-        error, y, margin, it = _outcome(best_response, *args)
+        error, y, margin, it = _outcome(best_response, game, flows(game.pi, game.shift, 0.3))
         if k < max_iter:
             assert ref_error == "iterate stopped moving before reaching the VI certificate"
             assert ref_it == k
@@ -176,13 +178,64 @@ class TestFixedStep:
             simulate(replace(cubic_config(), rounds=3))
 
 
+def bits(x: float) -> bytes:
+    """The IEEE bytes of a float, so that -0.0 and 0.0 differ."""
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def expansion_instances(draw):
+    """Game of degree 0-4, forecast and simplex point; terms of degree >= 2 may be < 0 or -0.0."""
+    n, s, degree = draw(st.integers(2, 64)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [rng.uniform(0.0, 10.0, size=(s, n)), rng.uniform(0.0, 4.0, size=(s, n))][:degree + 1]
+    for _ in range(degree - 1):
+        higher = rng.uniform(-2.0, 2.0, size=(s, n))
+        higher[rng.random((s, n)) < 0.2] = -0.0
+        coeffs.append(higher)
+    coeffs = np.stack(coeffs)
+    nu = float(rng.uniform(0.2, 0.8))
+    pi = rng.dirichlet(np.ones(n), size=s) * nu
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, np.arange(n) != i] = rng.dirichlet(np.ones(n - 1))
+    config = GameConfig(
+        latency=LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs),
+        prior=Prior(rng.dirichlet(np.ones(s))),
+        signal=Signal(pi=pi * (nu / pi.sum(axis=1, keepdims=True)), nu=nu),
+        disobedience=DisobedienceMatrix(P),
+        m_max=float(np.abs(coeffs).max(axis=1).sum()) + 1.0)
+    theta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True,
+                                                         exclude_max=True))
+    return config, theta, rng.dirichlet(np.ones(n)) * (1.0 - nu)
+
+
+class TestSolveSetup:
+    @given(expansion_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_references(self, instance):
+        """Coefficients, step, gradient and margin have the bits of the per-call references."""
+        config, theta, y = instance
+        game = CompiledGame.of(config)
+        coeffs = response_coeffs(game, flows(game.pi, game.shift, theta))
+        ref = reference_response_coeffs(game, game.pi, game.shift, theta)
+        assert (coeffs.dtype, coeffs.shape, coeffs.tobytes()) == (ref.dtype, ref.shape,
+                                                                  ref.tobytes())
+        assert bits(_trial_step(game, coeffs)) == bits(reference_trial_step(ref, game.mass))
+        grad = poly_rows(tuple(coeffs), y)
+        ref_grad = reference_poly_rows(ref, y)
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert bits(_vi_margin(grad, y, game.mass)) == bits(
+            reference_vi_margin(ref_grad, y, game.mass))
+
+
 class TestFixedStart:
     @given(solver_instances())
     @settings(max_examples=50, deadline=None)
     def test_fixed_start_gives_the_projected_start_bits(self, instance):
         config, theta, start = instance
         game = CompiledGame.of(config)
-        args, n = (game, game.pi, game.shift, theta), config.latency.n
+        args, n = (game, flows(game.pi, game.shift, theta)), config.latency.n
         # a vertex is always its own projection; most projections are not, byte for byte
         vertex = np.zeros(n)
         vertex[n // 2] = game.mass
@@ -294,11 +347,19 @@ class TestProjection:
     def test_zero_mass(self):
         assert np.array_equal(project_simplex(np.array([0.3, -0.2]), 0.0), np.zeros(2))
 
+    def test_mass_below_half_an_ulp_goes_to_the_tied_maxima(self):
+        v = np.array([3.0, 1.0, 3.0, -2.0])  # half an ulp of 3.0 is 2.2e-16
+        assert project_simplex(v, 1e-17).tobytes() == np.array([5e-18, 0.0, 5e-18, 0.0]).tobytes()
+        assert project_simplex(v, 5e-324).tobytes() == np.array([0.0, 0.0, 0.0, 0.0]).tobytes()
+        assert project_simplex(np.array([-1e300, 7.0]), 1e-20).tobytes() == np.array(
+            [0.0, 1e-20]).tobytes()
+
     @given(edge_vectors(), st.sampled_from(["near zero", "any", "entry scale"]), st.data())
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_out_of_place_reference(self, v, scale, data):
-        # A mass below half an ulp of the largest entry leaves no threshold:
-        # both kernels raise, as many draws of the first two kinds do.
+        # A mass below half an ulp of the largest entry leaves no rank past the
+        # threshold, as many draws of the first two kinds do: both kernels then
+        # give the tied maxima equal shares.
         if scale == "near zero":
             mass = data.draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-16, 1e-8]))
         elif scale == "any":
@@ -374,6 +435,16 @@ class TestSolveBwe:
                 method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
             assert ref.success
             assert np.abs(br.y - ref.x).max() <= 5e-6, (br.y, ref.x)
+
+    @pytest.mark.parametrize("nu, start", [(0.5, [1e17, 0.0]), (1.0 - 2.0**-50, [1e3, 0.0])])
+    def test_start_far_above_the_mass(self, nu, start):
+        # the mass is below half an ulp of the start's largest entry
+        config = benchmark_config(nu=nu)
+        br = solve_bwe(config, 0.3, start=start)
+        assert np.all(br.y >= 0.0)
+        assert br.y.sum() == pytest.approx(1.0 - nu, rel=1e-12)
+        assert br.vi_margin >= -config.solver_tol
+        assert np.abs(br.y - solve_bwe(config, 0.3).y).max() <= 1e-6
 
     @pytest.mark.parametrize("start", [[np.nan, 0.5], [np.inf, 0.0], np.zeros(3), [[0.1, 0.2]]],
                              ids=["nan", "inf", "three_entries", "row_matrix"])
@@ -507,6 +578,22 @@ class TestObedience:
     def test_tolerance_must_be_finite_and_nonnegative(self, paper_config, tol):
         with pytest.raises(ConfigurationError, match="tol must be finite and nonnegative"):
             check_obedience(paper_config, tol=tol)
+
+    @pytest.mark.parametrize("config", [cubic_config(), cubic_config(seed=3, n=5, s=4),
+                                        benchmark_config()], ids=["cubic_n8", "cubic_s4", "paper"])
+    def test_slacks_match_per_state_reference(self, config):
+        """Latencies of all states in one evaluation have the bits of one row per state."""
+        report = check_obedience(config)
+        coeffs, mu0, pi, y = (config.latency.coeffs, config.prior.mu0, config.signal.pi,
+                              report.y0.y)
+        full = np.stack([reference_poly_rows(coeffs[:, w, :], pi[w] + y)
+                         for w in range(pi.shape[0])])
+        gap = full[:, :, None] - full[:, None, :]
+        expected = mu0 @ full
+        nash = y[:, None] * (expected[:, None] - expected[None, :])
+        assert report.obedience_slacks.tobytes() == np.einsum("w,wi,wij->ij", mu0, pi,
+                                                              gap).tobytes()
+        assert report.nash_slacks.tobytes() == nash.tobytes()
 
     def test_random_configs_match_brute_force(self):
         rng = np.random.default_rng(23)
