@@ -64,13 +64,17 @@ def _parse_file(path) -> dict:
 def _convert(kind, value, name: str):
     """``kind(value)``; a value that does not convert is a ConfigurationError naming ``name``.
 
-    A YAML boolean is not a number here, though ``float(True)`` is 1.0.
+    A YAML boolean is not a number here, though ``float(True)`` is 1.0.  A
+    float is an integer only when it is integral: ``int(2.7)`` truncates to 2.
     """
     if not isinstance(value, bool):
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            converted = kind(value)
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
             pass
+        else:
+            if kind is not int or not isinstance(value, float) or value.is_integer():
+                return converted
     noun = "an integer" if kind is int else "a number"
     raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 

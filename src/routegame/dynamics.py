@@ -33,17 +33,18 @@ logger = logging.getLogger(__name__)
 _BLOCK_CELLS = 1024  # CSV cells converted to text per block of rows
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationState:
     """Mutable per-run state; round k + 1 is fully determined by round k.
 
-    The generator object is advanced in place, so a state consumed by
-    :func:`step` must not be reused.  ``y_warm`` is the last round's response,
-    the start of the next solve.  ``y_warm_fixed`` is set once that start is
-    its own simplex projection, byte for byte; the solve then starts from it
-    without projecting it again, and returns that same array while it
-    certifies at once, so consecutive records may share one ``y`` array.  No
-    array of a record is ever written in place.
+    :func:`step` advances the state in place, its generator included, and
+    returns the same object, so a state given to it holds the next round
+    afterwards and no earlier round can be replayed from it.  ``y_warm`` is
+    the last round's response, the start of the next solve.  ``y_warm_fixed``
+    is set once that start is its own simplex projection, byte for byte; the
+    solve then starts from it without projecting it again, and returns that
+    same array while it certifies at once, so consecutive records may share
+    one ``y`` array.  No array of a record is ever written in place.
 
     The estimators' state is ``theta_hat``, the forecast for round k, and under
     the observer ``m_hat``, the regret estimate it is implied by (else None).
@@ -139,7 +140,10 @@ def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
 
 
 def theta_of_m(m: float, m_max: float) -> float:
-    """Disobeying fraction implied by the aggregate regret; clamp is a safety net."""
+    """Disobeying fraction implied by the aggregate regret; clamp is a safety net.
+
+    :func:`step` computes the same expression inline, without the checks.
+    """
     if not 0.0 < m_max < math.inf:  # NaN fails too
         raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
     if not math.isfinite(m):
@@ -169,13 +173,19 @@ def _sample_state(rng: np.random.Generator, cum_prior: tuple[float, ...]) -> int
 
 def step(config: GameConfig, state: SimulationState,
          into: Trajectory | None = None) -> tuple[SimulationState, TrajectoryRecord]:
-    """Advance the game by one round.
+    """Advance the game by one round; returns ``state``, advanced in place, and the record.
 
     Runs the kernels on the config's compiled game and revalidates nothing:
     the config was validated when it was built, and every value here derives
     from it.  The first round compiles the game; the state carries it on.
-    With ``into``, the round's record is also written into row ``k - 1`` of
-    its columns, which is how :func:`simulate` fills a run.
+    The disobeying fractions are :func:`theta_of_m` without its checks, and
+    the smoothing weight is read from the schedule's values, without those
+    of :meth:`BetaSchedule.at`.  A regret that leaves [-m_max, m_max] is
+    clamped to it with a warning, and one that is not finite raises
+    :class:`ConfigurationError` naming the round; so does a non-finite regret
+    estimate of the observer.  With ``into``, the round's record is also
+    written into row ``k - 1`` of its columns, which is how :func:`simulate`
+    fills a run.
 
     The best response starts from the last round's.  That start is fixed once
     a solve certifies at iteration 0 and returns the bytes it started from
@@ -194,20 +204,22 @@ def step(config: GameConfig, state: SimulationState,
     their row ``omega``: flows are elementwise, so that row has the bits of
     the row computed alone, which is what a round at nu = 1 computes.
     """
-    game = CompiledGame.of(config) if state.game is None else state.game
-    k = state.k
+    game = state.game
+    if game is None:
+        game = state.game = CompiledGame.of(config)
+    k, m, theta_hat, m_max = state.k, state.m, state.theta_hat, game.m_max
     omega = _sample_state(state.rng, game.cum_prior)
-    theta = theta_of_m(state.m, game.m_max)
+    theta = min(max(m, 0.0) / m_max, 1.0)
 
     # Under dynamic nu the participating mass follows the last round's theta.
     # With no mass to best-respond, nothing reads the other states' rows.
     if game.mass == 0.0:
         pi_w, shift_w = game.row_at(omega, state.nu_current)
-        forecast, x_hat = None, flows(pi_w, shift_w, state.theta_hat)
+        forecast, x_hat = None, flows(pi_w, shift_w, theta_hat)
     else:
         pi, shift = game.signal_at(state.nu_current)
         pi_w, shift_w = pi[omega], shift[omega]
-        forecast = flows(pi, shift, state.theta_hat)
+        forecast = flows(pi, shift, theta_hat)
         x_hat = forecast[omega]
     x = flows(pi_w, shift_w, theta)
     start = state.y_warm
@@ -219,55 +231,50 @@ def step(config: GameConfig, state: SimulationState,
     latency = game.coeffs[:, omega, :]
     ell = poly_rows(latency, x + y)
     u = payoff_gap(pi_w, game.rerouting, ell)
-    m_next = fold_regret(state.m, u, k, game.discount)
-    if abs(m_next) > game.m_max:
-        logger.warning("round %d: regret %s clamped to [-%s, %s]", k, m_next,
-                       game.m_max, game.m_max)
-        m_next = min(max(m_next, -game.m_max), game.m_max)
+    m_next = fold_regret(m, u, k, game.discount)
+    if not abs(m_next) <= m_max:  # NaN fails too
+        if not math.isfinite(m_next):
+            raise ConfigurationError(f"round {k}: regret must be finite, got {m_next}")
+        logger.warning("round %d: regret %s clamped to [-%s, %s]", k, m_next, m_max, m_max)
+        m_next = min(max(m_next, -m_max), m_max)
 
     if game.gain is None:
-        m_hat_next = None
-        theta_hat_next = smooth(state.theta_hat, theta, game.schedule.at(k + 1))
+        schedule = game.schedule  # the weight schedule.at(k + 1) returns, unchecked
+        beta = schedule.value if schedule.values is None else schedule.values[k - 1]
+        state.theta_hat = smooth(theta_hat, theta, beta)
     else:
-        m_hat_next = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
-        theta_hat_next = theta_of_m(m_hat_next, game.m_max)
+        m_hat = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
+        if not math.isfinite(m_hat):
+            raise ConfigurationError(f"round {k}: regret estimate must be finite, got {m_hat}")
+        state.m_hat = m_hat
+        state.theta_hat = min(max(m_hat, 0.0) / m_max, 1.0)
 
-    nu_next = theta if game.dynamic_nu else state.nu_current
-    y_fixed = iterations == 0 and start is not None and (
-        state.y_warm_fixed or y.tobytes() == start.tobytes())
     gap = x - pi_w
     np.abs(gap, out=gap)
-
     record = TrajectoryRecord(
         k=k,
         omega=omega,
         theta=theta,
-        theta_hat=state.theta_hat,
+        theta_hat=theta_hat,
         x=x,
         x_hat=x_hat,
         y=y,
         ell=ell,
         u=u,
         m_next=m_next,
-        e_theta=theta - state.theta_hat,
-        flow_gap=float(gap.max()),
+        e_theta=theta - theta_hat,
+        flow_gap=float(np.maximum.reduce(gap)),
     )
     if into is not None:
         i = k - 1
         (_, into.omega[i], into.theta[i], into.theta_hat[i], into.x[i], into.x_hat[i], into.y[i],
          into.ell[i], into.u[i], into.m_next[i], _, into.flow_gap[i]) = record
-    next_state = SimulationState(
-        k=k + 1,
-        m=m_next,
-        theta_hat=theta_hat_next,
-        m_hat=m_hat_next,
-        nu_current=nu_next,
-        rng=state.rng,
-        y_warm=y,
-        y_warm_fixed=y_fixed,
-        game=game,
-    )
-    return next_state, record
+    state.y_warm_fixed = iterations == 0 and start is not None and (
+        state.y_warm_fixed or y.tobytes() == start.tobytes())
+    state.k, state.m, state.y_warm = k + 1, m_next, y
+    if game.dynamic_nu:
+        state.nu_current = theta
+    return state, record
 
 
 def simulate(config: GameConfig) -> Trajectory:
@@ -282,7 +289,7 @@ def simulate(config: GameConfig) -> Trajectory:
                             *(np.empty((rounds, n)) for _ in range(4)))
     state = initial_state(config)
     for _ in range(rounds):
-        state = step(config, state, trajectory)[0]
+        step(config, state, trajectory)
     for column in fields(trajectory)[1:]:  # setflags: see project_simplex on name strings
         getattr(trajectory, column.name).setflags(write=False)
     return trajectory

@@ -124,26 +124,38 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     return out
 
 
-def response_coeffs(game: CompiledGame, xhat: np.ndarray) -> np.ndarray:
-    """Coefficients c[p, i] of the expected latency on link i as a polynomial in y_i.
+def response_coeffs(game: CompiledGame, xhat: np.ndarray) -> list[np.ndarray]:
+    """Rows c[p] of the expected latency's coefficients, c[p][i] multiplying y_i ** p.
 
     Expands each latency term around ``xhat``, the forecast participating
     flows of every state (one row each), and averages over the prior.  The
-    d = p terms are compiled; row p adds the terms of d = p + 1, p + 2, ...
-    to them in that order.  Each power of ``xhat`` is computed once, the
-    first is ``xhat`` itself, and a binomial of 1 multiplies nothing.
+    d = p terms are compiled; row p is their row plus the term of d = p + 1,
+    a new array, to which the terms of d = p + 2, p + 3, ... are added in
+    place in that order: the IEEE adds of copying the compiled row and adding
+    every term in place.  The top row is the compiled row itself, never
+    written.  Each power of ``xhat`` is computed once, the first is ``xhat``
+    itself, and a binomial of 1 multiplies nothing.
     """
-    coeffs, mu0 = game.coeffs, game.mu0
-    top = coeffs.shape[0] - 1
-    powers = [None, xhat] + [xhat ** k for k in range(2, top + 1)]
-    out = game.response_const.copy()
+    coeffs, mu0, const = game.coeffs, game.mu0, game.response_const
+    top = len(const) - 1
+    powers = [None, xhat]
+    for d in range(2, top + 1):
+        powers.append(xhat ** d)
+    rows = []
     for p in range(top):
-        row = out[p]
+        row = None
         for d in range(p + 1, top + 1):
             term = mu0 @ (coeffs[d] * powers[d - p])
             binomial = comb(d, p)
-            row += term if binomial == 1 else binomial * term
-    return out
+            if binomial != 1:
+                term *= binomial
+            if row is None:
+                row = const[p] + term
+            else:
+                row += term
+        rows.append(row)
+    rows.append(const[top])
+    return rows
 
 
 def _potential_from_coeffs(coeffs: np.ndarray, y: np.ndarray) -> float:
@@ -151,17 +163,19 @@ def _potential_from_coeffs(coeffs: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(coeffs / powers * y ** powers))
 
 
-def _trial_step(game: CompiledGame, coeffs: np.ndarray) -> float:
+def _trial_step(game: CompiledGame, rows) -> float:
     """The solver's step, min(1, 1/L) for L the gradient's Lipschitz bound on the scaled simplex.
 
     The Hessian is diagonal with |entry i| <= sum_p p |c[p, i]| mass**(p - 1) there, so
     any step <= 1/L gives phi(y+) <= phi(y) + grad . (y+ - y) / 2 <= phi(y), convex or
     not (Beck and Teboulle 2009, Lemma 2.3): every step descends, with no line search.
-    The columns p and mass**(p - 1) are compiled with the game.
+    The columns p and mass**(p - 1) are compiled with the game; the rows of
+    degree >= 1 are stacked here, once a solve iterates.
     """
-    if coeffs.shape[0] < 2:
+    if len(rows) < 2:
         return 1.0
-    lip = float((game.step_rank * np.abs(coeffs[1:]) * game.step_mass_powers).sum(axis=0).max())
+    bound = game.step_rank * np.abs(np.array(rows[1:])) * game.step_mass_powers
+    lip = float(np.maximum.reduce(np.add.reduce(bound, axis=0)))
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
 
 
@@ -198,11 +212,12 @@ def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
     _check_unit_interval(theta, "theta")
     y = _check_candidate(y, config.latency.n)
     game = CompiledGame.of(config)
-    return _potential_from_coeffs(response_coeffs(game, flows(game.pi, game.shift, theta)), y)
+    rows = response_coeffs(game, flows(game.pi, game.shift, theta))
+    return _potential_from_coeffs(np.array(rows), y)
 
 
 def _vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
-    return mass * float(grad.min()) - float(grad.dot(y))
+    return mass * float(np.minimum.reduce(grad)) - float(grad.dot(y))
 
 
 def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
@@ -232,10 +247,11 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
     read ``xhat``.  ``start`` is projected, not checked, unless
     ``start_fixed`` says it is a float array whose projection onto the
     simplex of mass ``game.mass`` has its own bytes; then it is used as is,
-    which gives the same bits, since the projection is a pure function.  A response that certifies at iteration 0
-    is the start point itself, the same array.  The coefficients are computed
-    and split into rows once per solve; the step of :func:`_trial_step` is
-    computed once the start point fails its certificate.
+    which gives the same bits, since the projection is a pure function.  A
+    response that certifies at iteration 0 is the start point itself, the
+    same array.  The coefficient rows of :func:`response_coeffs` are built
+    once per solve; the step of :func:`_trial_step` is computed once the
+    start point fails its certificate.
 
     An iterate that stopped moving raises :class:`SolverError` with the
     iterate it failed to leave.  The arrays are compared one iteration late,
@@ -249,8 +265,7 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
     mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
         return np.zeros(n), 0.0, 0
-    coeffs = response_coeffs(game, xhat)
-    rows = tuple(coeffs)
+    rows = response_coeffs(game, xhat)
     if start is None:
         y = np.full(n, mass / n)
     elif start_fixed:
@@ -265,7 +280,7 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
         if margin >= -tol:
             return y, margin, it
         if it == 0:
-            t = _trial_step(game, coeffs)
+            t = _trial_step(game, rows)
         elif (margin == margin_prev or margin != margin) and np.array_equal(y, y_prev):
             raise _stalled(y_prev, margin_prev, it - 1)
         y_prev, margin_prev = y, margin
@@ -315,8 +330,8 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     obedience = np.einsum("w,wi,wij->ij", mu0, pi, gap)
     expected = mu0 @ full
     nash = y0.y[:, None] * (expected[:, None] - expected[None, :])
-    worst_obedience = float(obedience.max())
-    worst_nash = float(nash.max())
+    worst_obedience = float(np.maximum.reduce(obedience, axis=None))
+    worst_nash = float(np.maximum.reduce(nash, axis=None))
     return ObedienceReport(
         obedient=bool(worst_obedience <= tol and worst_nash <= tol),
         y0=y0,

@@ -332,7 +332,8 @@ def poly_rows(coeffs, f: np.ndarray) -> np.ndarray:
     order as ``out = out * f + coeffs[d]``, so the bits are those of the
     out-of-place rule with one allocation.  Only a constant polynomial needs
     a copy.  ``coeffs`` is an array or any sequence of its rows; the solver
-    passes a tuple of rows, split once, so no iteration indexes the array.
+    passes the list of rows that :func:`~routegame.equilibrium.response_coeffs`
+    builds, so no iteration indexes an array.
     """
     if len(coeffs) == 1:
         return np.array(coeffs[0])
@@ -393,7 +394,7 @@ class CompiledGame:
     pi: np.ndarray                      # (states, links) recommendation rows
     shift: np.ndarray                   # row w: rerouting_shift(D, pi[w])
     rerouting: np.ndarray               # disobedience matrix D
-    response_const: np.ndarray          # (degree + 1, links)
+    response_const: np.ndarray          # (degree + 1, links), read-only
     step_rank: np.ndarray               # (degree, 1) column 1.0 .. degree
     step_mass_powers: np.ndarray        # (degree, 1) column mass ** (step_rank - 1)
     discount: float | None              # set for the discounted scenario only
@@ -407,6 +408,7 @@ class CompiledGame:
         const = np.zeros((coeffs.shape[0], coeffs.shape[2]))
         for p in range(coeffs.shape[0]):
             const[p] += mu0 @ coeffs[p]
+        const.setflags(write=False)  # its top row is a response row, shared by every solve
         mass = 1.0 - config.signal.nu
         rank = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
         est = config.estimator

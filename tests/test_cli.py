@@ -47,6 +47,22 @@ class TestLoadConfig:
         assert cfg.solver_tol == 1e-8
         assert cfg.scenario == Scenario.baseline()
 
+    @pytest.mark.parametrize("key, value", [("rounds", 2.7), ("seed", 1.9), ("links", 2.5),
+                                            ("degree", 1.5), ("rounds", -0.5),
+                                            ("seed", float("inf")), ("links", float("nan"))])
+    def test_non_integral_integer_key_rejected(self, tmp_path, key, value):
+        # int() would truncate 2.7 to 2 rounds, and 2.5 links would pass as 2
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigurationError, match=f"{key} must be an integer, got {value}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["rounds", "seed", "links", "degree"])
+    def test_integral_float_is_an_integer(self, tmp_path, key):
+        value = {"rounds": 3.0, "seed": 4.0, "links": 2.0, "degree": 1.0}[key]
+        cfg = load_config(write_config(tmp_path, **{key: value}))
+        assert (cfg.rounds, cfg.seed) == (3 if key == "rounds" else 5000, 4 if key == "seed" else 0)
+        assert isinstance(cfg.rounds, int) and isinstance(cfg.seed, int)
+
     def test_negative_constant_coefficient_rejected(self, tmp_path):
         path = write_config(tmp_path, coeffs=[[[-5, 25], [20, 15]], [[4, 2], [1, 2]]])
         with pytest.raises(ConfigurationError, match="nonnegative"):
@@ -467,6 +483,8 @@ class TestCheckObedienceCommand:
         ("estimator", {"luenberger": True}, "estimator gain must be a number or a list, got True"),
         ("estimator", {"luenberger": [True, 0]}, "estimator gain must be a number, got True"),
         ("scenario", {"discounted": False}, "scenario discount must be a number, got False"),
+        # float() of an integer this large overflows
+        ("m_max", 10**400, "m_max must be a number, got 1000"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])

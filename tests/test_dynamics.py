@@ -98,7 +98,8 @@ class TestRegretUpdate:
     @pytest.mark.parametrize("m, u", [(0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0),
                                       (0.0, -np.inf)])
     def test_non_finite_inputs_rejected(self, m, u):
-        # fold_regret checks nothing; the next round's theta_of_m rejects what it folded
+        # fold_regret checks nothing; step rejects what it folded in the same round
+        # (TestNonFiniteRegret), and the public theta_of_m rejects it too
         for scenario in SCENARIOS.values():
             m_next = fold_regret(m, u, 1, scenario.discount)
             with pytest.raises(ConfigurationError, match="must be finite"):
@@ -202,6 +203,67 @@ class TestStep:
         monkeypatch.setattr(dyn, "best_response", boom)
         with pytest.raises(SolverError, match="round 1"):
             simulate(paper_config)
+
+
+    def test_returns_the_state_it_was_given(self, paper_config):
+        state = initial_state(paper_config)
+        for k in (1, 2, 3):
+            advanced, record = step(paper_config, state)
+            assert advanced is state and record.k == k and state.k == k + 1
+            assert state.m == record.m_next
+
+
+class TestNonFiniteRegret:
+    """A regret or observer estimate that is not finite raises in the round that made it."""
+
+    @staticmethod
+    def five_rounds(paper_config: GameConfig, estimator: str) -> GameConfig:
+        config = replace(paper_config, rounds=5)
+        if estimator == "luenberger":
+            config = replace(config, estimator=LuenbergerSpec.from_scalar(0.0, 2))
+        return config
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_round", [3, 5])
+    @pytest.mark.parametrize("estimator", ["smoothing", "luenberger"])
+    def test_payoff_gap(self, paper_config, monkeypatch, estimator, bad_round, value):
+        config, calls = self.five_rounds(paper_config, estimator), []
+        gap = dynamics.payoff_gap
+
+        def poisoned(*args):
+            calls.append(args)
+            return value if len(calls) == bad_round else gap(*args)
+
+        monkeypatch.setattr(dynamics, "payoff_gap", poisoned)
+        state = initial_state(config)
+        for _ in range(bad_round - 1):
+            step(config, state)
+        m, theta_hat = state.m, state.theta_hat
+        with pytest.raises(ConfigurationError,
+                           match=f"^round {bad_round}: regret must be finite, got {value}$"):
+            step(config, state)
+        # the failed round leaves the regret and the forecast as they were
+        assert (state.k, state.m, state.theta_hat) == (bad_round, m, theta_hat)
+        calls.clear()
+        with pytest.raises(ConfigurationError, match=f"^round {bad_round}: "):
+            simulate(config)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad_round", [3, 5])
+    def test_observer_estimate(self, paper_config, monkeypatch, bad_round, value):
+        config, calls = self.five_rounds(paper_config, "luenberger"), []
+        observe = dynamics.observe
+
+        def poisoned(*args):
+            calls.append(args)
+            return value if len(calls) == bad_round else observe(*args)
+
+        monkeypatch.setattr(dynamics, "observe", poisoned)
+        with pytest.raises(ConfigurationError,
+                           match=f"^round {bad_round}: regret estimate must be finite, "
+                                 f"got {value}$"):
+            simulate(config)
+        assert len(calls) == bad_round
 
 
 class TestSimulate:
@@ -647,6 +709,36 @@ class TestForecastRow:
             want = flows(pi_w, shift_w, record.theta_hat)
             assert same_bytes(record.x_hat, want), record.k
             assert same_bytes(trajectory.x_hat[i], want), record.k
+
+
+def numpy_method_wrapper_calls(run) -> list[str]:
+    """Names of the Python functions in numpy's ``_methods.py`` that ``run()`` enters.
+
+    ``ndarray.min``, ``max``, ``sum``, ``any`` and ``all`` go through them; their
+    ufuncs' ``reduce`` does the same work without the Python frame.
+    """
+    calls, previous = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename
+        if event == "call" and path.endswith("_methods.py") and "numpy" in path:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestHotPath:
+    @pytest.mark.parametrize("name", ["paper_affine", "cubic_n8"])
+    def test_no_numpy_method_wrappers(self, name):
+        config = cubic_config() if name == "cubic_n8" else load_config(PAPER_CONFIG)
+        config = replace(config, rounds=200)
+        assert numpy_method_wrapper_calls(lambda: simulate(config)) == []
+        assert numpy_method_wrapper_calls(lambda: equilibrium.check_obedience(config)) == []
 
 
 class TestMemory:

@@ -214,15 +214,19 @@ class TestSolveSetup:
     @given(expansion_instances())
     @settings(max_examples=200, deadline=None)
     def test_bytes_match_references(self, instance):
-        """Coefficients, step, gradient and margin have the bits of the per-call references."""
+        """Coefficient rows, step, gradient and margin have the bits of the per-call references."""
         config, theta, y = instance
         game = CompiledGame.of(config)
-        coeffs = response_coeffs(game, flows(game.pi, game.shift, theta))
+        rows = response_coeffs(game, flows(game.pi, game.shift, theta))
         ref = reference_response_coeffs(game, game.pi, game.shift, theta)
+        coeffs = np.array(rows)
         assert (coeffs.dtype, coeffs.shape, coeffs.tobytes()) == (ref.dtype, ref.shape,
                                                                   ref.tobytes())
-        assert bits(_trial_step(game, coeffs)) == bits(reference_trial_step(ref, game.mass))
-        grad = poly_rows(tuple(coeffs), y)
+        # the top row is the compiled one, read-only; every other row is a new array
+        assert np.shares_memory(rows[-1], game.response_const) and not rows[-1].flags.writeable
+        assert not any(np.shares_memory(row, game.response_const) for row in rows[:-1])
+        assert bits(_trial_step(game, rows)) == bits(reference_trial_step(ref, game.mass))
+        grad = poly_rows(rows, y)
         ref_grad = reference_poly_rows(ref, y)
         assert grad.tobytes() == ref_grad.tobytes()
         assert bits(_vi_margin(grad, y, game.mass)) == bits(

@@ -168,6 +168,10 @@ class TestReplay:
                                 ell_hat)
                 theta_hat.append(theta_of_m(m_hat, config.m_max))
         assert np.array(theta_hat).tobytes() == trajectory.theta_hat.tobytes()
+        # step writes theta_of_m inline, unchecked; the drawn fractions have its bits too
+        m = [config.m_init, *trajectory.m_next[:-1].tolist()]
+        theta = [theta_of_m(v, config.m_max) for v in m]
+        assert np.array(theta).tobytes() == trajectory.theta.tobytes()
 
 
 class TestEnvelope:
