@@ -167,7 +167,12 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     if "beta_schedule" in raw:
         if "beta" in raw:
             raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
-        schedule = {"schedule": BetaSchedule.from_sequence(raw["beta_schedule"])}
+        betas = raw["beta_schedule"]
+        if not isinstance(betas, list):
+            raise ConfigurationError(
+                f"{path}: beta_schedule must be a list of numbers, got {betas!r}")
+        schedule = {"schedule": BetaSchedule.from_sequence(
+            [_convert(float, b, f"{path}: beta_schedule") for b in betas])}
     else:
         schedule = {"schedule": BetaSchedule.constant(number("beta"))} if "beta" in raw else {}
     estimator = _parse_estimator(raw.get("estimator", "smoothing"), latency.n)

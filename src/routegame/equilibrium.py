@@ -100,8 +100,8 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     entry lies at least one spacing below, farther than the mass, so it
     stays at zero.
     """
-    if mass < 0:
-        raise ConfigurationError(f"simplex mass must be nonnegative, got {mass}")
+    if not 0.0 <= mass < inf:  # NaN fails too
+        raise ConfigurationError(f"simplex mass must be finite and nonnegative, got {mass}")
     v = np.asarray(v, dtype=float)
     if mass == 0.0:
         return np.zeros_like(v)

@@ -8,7 +8,9 @@ directly, without an extra ``nu`` prefactor.  All types are immutable after
 validation and all operations here are pure.
 
 Inputs are validated once, where they enter: the domain types and
-:class:`GameConfig` check themselves on construction.  The round loop runs on
+:class:`GameConfig` check themselves on construction, calling the ufuncs'
+methods directly rather than numpy's Python wrappers, since generated
+instances are built in bulk.  The round loop runs on
 a :class:`CompiledGame`, the config's constants derived once per run, through
 the kernels here (:func:`flows`, :func:`poly_rows`, :func:`rerouting_shift`),
 which check nothing; the run carries it in its state, so a config holds no
@@ -41,6 +43,16 @@ def _readonly(a, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_nonnegative(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite and >= 0, in two reductions and no temporaries.
+
+    ``np.minimum`` and ``np.maximum`` propagate NaN, which fails both
+    comparisons; ``initial=0.0`` lets an empty array pass, as ``np.all`` does.
+    """
+    return (0.0 <= np.minimum.reduce(a, axis=None, initial=0.0)
+            and np.maximum.reduce(a, axis=None, initial=0.0) < math.inf)
+
+
 def _check_unit_interval(x: float, name: str) -> None:
     if not 0.0 <= x <= 1.0:
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
@@ -49,7 +61,7 @@ def _check_unit_interval(x: float, name: str) -> None:
 def _link_vector(v, n: int, name: str) -> np.ndarray:
     """``v`` as a read-only float copy, checked to be finite with one entry per link."""
     v = _readonly(v, name)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
+    if v.shape != (n,) or not np.logical_and.reduce(np.isfinite(v)):
         raise ConfigurationError(f"{name} must be a finite vector of {n} entries")
     return v
 
@@ -86,11 +98,11 @@ class LatencyModel:
                 f"{len(self.states)} state labels for {s} coefficient rows")
         if len(set(self.states)) != s:
             raise ConfigurationError("state labels must be distinct")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.logical_and.reduce(np.isfinite(coeffs), axis=None):
             raise ConfigurationError("latency coefficients must be finite")
-        if np.any(coeffs[0] < 0):
+        if np.logical_or.reduce(coeffs[0] < 0, axis=None):
             raise ConfigurationError("constant latency coefficients must be nonnegative")
-        if dplus1 >= 2 and np.any(coeffs[1] < 0):
+        if dplus1 >= 2 and np.logical_or.reduce(coeffs[1] < 0, axis=None):
             raise ConfigurationError("linear latency coefficients must be nonnegative")
         if self.require_strict_increase and not self.is_strictly_increasing:
             raise ConfigurationError(
@@ -112,7 +124,8 @@ class LatencyModel:
     def is_strictly_increasing(self) -> bool:
         if self.degree == 0:
             return False
-        return bool(np.all(np.any(self.coeffs[1:] > 0, axis=0)))
+        positive = np.logical_or.reduce(self.coeffs[1:] > 0, axis=0)
+        return bool(np.logical_and.reduce(positive, axis=None))
 
 
 @dataclass(frozen=True)
@@ -126,9 +139,9 @@ class Prior:
         object.__setattr__(self, "mu0", mu0)
         if mu0.ndim != 1 or mu0.size < 1:
             raise ConfigurationError("prior must be a nonempty vector")
-        if not np.all(mu0 > 0):  # NaN fails too; an infinite entry fails the sum below
+        if not np.logical_and.reduce(mu0 > 0):  # NaN fails too; an infinite entry fails the sum
             raise ConfigurationError("prior must be finite and strictly positive on every state")
-        total = float(mu0.sum())
+        total = float(np.add.reduce(mu0))
         if abs(total - 1.0) > INPUT_TOL:
             raise ConfigurationError(f"prior sums to {float(total)!r}, expected 1")
 
@@ -151,10 +164,10 @@ class Signal:
         _check_unit_interval(self.nu, "participation fraction nu")
         if pi.ndim != 2:
             raise ConfigurationError(f"signal must be a (states, links) matrix, got shape {pi.shape}")
-        if not np.all(np.isfinite(pi)) or np.any(pi < 0):
+        if not _finite_nonnegative(pi):
             raise ConfigurationError("signal entries must be finite and nonnegative")
-        sums = pi.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - self.nu) > INPUT_TOL)[0]
+        sums = np.add.reduce(pi, axis=1)
+        bad = (np.abs(sums - self.nu) > INPUT_TOL).nonzero()[0]
         if bad.size:
             w = int(bad[0])
             raise SignalRowError(w, float(sums[w]), self.nu)
@@ -179,12 +192,12 @@ class DisobedienceMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"disobedience matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
+        if not _finite_nonnegative(m):
             raise ConfigurationError("disobedience matrix entries must be finite and nonnegative")
-        if np.any(np.diag(m) != 0):
+        if np.logical_or.reduce(m.diagonal() != 0):
             raise ConfigurationError("disobedience matrix must have a zero diagonal")
-        sums = m.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > INPUT_TOL)[0]
+        sums = np.add.reduce(m, axis=1)
+        bad = (np.abs(sums - 1.0) > INPUT_TOL).nonzero()[0]
         if bad.size:
             i = int(bad[0])
             raise ConfigurationError(f"disobedience matrix row {i} sums to {float(sums[i])!r}, expected 1")
@@ -195,13 +208,12 @@ class DisobedienceMatrix:
 
     @classmethod
     def default(cls, n: int) -> "DisobedienceMatrix":
-        """Swap matrix for two links (the only valid instance), uniform off-diagonal otherwise."""
+        """Uniform off-diagonal rows; for two links the swap matrix, the only valid instance."""
         if n < 2:
             raise ConfigurationError(f"need at least 2 links, got {n}")
-        if n == 2:
-            return cls(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        m = np.full((n, n), 1.0 / (n - 1))
-        np.fill_diagonal(m, 0.0)
+        m = np.empty((n, n))
+        m.fill(1.0 / (n - 1))
+        m.flat[::n + 1] = 0.0  # the diagonal
         return cls(m)
 
 
@@ -350,7 +362,7 @@ def m_max_default(model: LatencyModel) -> float:
 
     Bounds the aggregate payoff difference for any flows of total mass <= 1.
     """
-    return float(model.coeffs.max(axis=1).sum())
+    return float(np.add.reduce(np.maximum.reduce(model.coeffs, axis=1), axis=None))
 
 
 def rerouting_shift(matrix: np.ndarray, pi_w: np.ndarray) -> np.ndarray:

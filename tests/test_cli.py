@@ -485,12 +485,25 @@ class TestCheckObedienceCommand:
         ("scenario", {"discounted": False}, "scenario discount must be a number, got False"),
         # float() of an integer this large overflows
         ("m_max", 10**400, "m_max must be a number, got 1000"),
+        # BetaSchedule.from_sequence would call float() on each entry, or iterate a scalar
+        ("beta_schedule", 0.5, "beta_schedule must be a list of numbers, got 0.5"),
+        ("beta_schedule", [0.5, "x"], "beta_schedule must be a number, got 'x'"),
+        ("beta_schedule", [[0.5], 0.5], "beta_schedule must be a number, got [0.5]"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_null_beta_schedule_exit_one(self, tmp_path, capsys):
+        # write_config drops a None value, so the null is written as text
+        target = tmp_path / "config.yaml"
+        target.write_text(PAPER_CONFIG.read_text() + "beta_schedule: null\n")
+        rc = main(["check-obedience", "--config", str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {target}: beta_schedule must be a list of numbers, got None\n"
 
     def test_non_finite_prior_exit_one(self, tmp_path, capsys):
         rc = main(["check-obedience", "--config",

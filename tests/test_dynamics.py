@@ -711,17 +711,25 @@ class TestForecastRow:
             assert same_bytes(trajectory.x_hat[i], want), record.k
 
 
-def numpy_method_wrapper_calls(run) -> list[str]:
-    """Names of the Python functions in numpy's ``_methods.py`` that ``run()`` enters.
+# numpy's Python modules behind ndarray.min/max/sum/any/all (``_methods.py``)
+# and behind np.all, np.any, np.nonzero, np.full, np.fill_diagonal and np.diag.
+CONSTRUCTION_WRAPPERS = ("_methods.py", "fromnumeric.py", "numeric.py", "_index_tricks_impl.py",
+                         "_twodim_base_impl.py")
 
-    ``ndarray.min``, ``max``, ``sum``, ``any`` and ``all`` go through them; their
-    ufuncs' ``reduce`` does the same work without the Python frame.
+
+def numpy_method_wrapper_calls(run, modules=("_methods.py",)) -> list[str]:
+    """Names of the Python functions in numpy's ``modules`` (file names) that ``run()`` enters.
+
+    ``ndarray.min``, ``max``, ``sum``, ``any`` and ``all`` go through
+    ``_methods.py``; their ufuncs' ``reduce`` does the same work without the
+    Python frame.  The other modules of :data:`CONSTRUCTION_WRAPPERS` hold the
+    functions that wrap a ufunc method or an ndarray method the same way.
     """
     calls, previous = [], sys.getprofile()
 
     def profile(frame, event, arg):
         path = frame.f_code.co_filename
-        if event == "call" and path.endswith("_methods.py") and "numpy" in path:
+        if event == "call" and "numpy" in path and Path(path).name in modules:
             calls.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
@@ -739,6 +747,26 @@ class TestHotPath:
         config = replace(config, rounds=200)
         assert numpy_method_wrapper_calls(lambda: simulate(config)) == []
         assert numpy_method_wrapper_calls(lambda: equilibrium.check_obedience(config)) == []
+
+    @pytest.mark.parametrize("name", ["paper_affine", "paper_affine_nu1", "default_32",
+                                      "cubic_n32"])
+    def test_construction_enters_no_numpy_wrappers(self, name):
+        # Validation runs once per config, but bulk instance generation pays it per config.
+        if name == "default_32":
+            def build():
+                return DisobedienceMatrix.default(32)
+        elif name == "cubic_n32":
+            config = cubic_config(n=32)
+
+            def build():  # the config and each of its domain types, validated afresh
+                return replace(config, latency=replace(config.latency), prior=replace(config.prior),
+                               signal=replace(config.signal),
+                               disobedience=replace(config.disobedience))
+        else:
+            def build():
+                return load_config(PAPER_CONFIG.with_name(f"{name}.yaml"))
+        build()  # first-call imports are not the result's
+        assert numpy_method_wrapper_calls(build, CONSTRUCTION_WRAPPERS) == []
 
 
 class TestMemory:

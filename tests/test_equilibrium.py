@@ -351,6 +351,12 @@ class TestProjection:
     def test_zero_mass(self):
         assert np.array_equal(project_simplex(np.array([0.3, -0.2]), 0.0), np.zeros(2))
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_non_finite_or_negative_mass_rejected(self, mass):
+        # a NaN or infinite mass would otherwise come back as a vector of NaN or inf
+        with pytest.raises(ConfigurationError, match="simplex mass must be finite and nonnegative"):
+            project_simplex(np.array([0.3, -0.2]), mass)
+
     def test_mass_below_half_an_ulp_goes_to_the_tied_maxima(self):
         v = np.array([3.0, 1.0, 3.0, -2.0])  # half an ulp of 3.0 is 2.2e-16
         assert project_simplex(v, 1e-17).tobytes() == np.array([5e-18, 0.0, 5e-18, 0.0]).tobytes()

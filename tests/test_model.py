@@ -10,12 +10,42 @@ from hypothesis import strategies as st
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, expected_latency, m_max_default)
 from routegame.dynamics import payoff_gap
+from routegame.errors import SignalRowError
 from routegame.model import CompiledGame, flows, poly_rows, rerouting_shift
 
 from conftest import (affine_latency, benchmark_config, edge_vectors, kernel_outcome,
                       reference_poly_rows)
 
 SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+NAN, INF = math.nan, math.inf
+
+
+def coeffs_with(d: int, value: float) -> dict:
+    """Latency arguments with ``value`` at degree d of the second link; all else is valid."""
+    coeffs = [[[1.0, 2.0]], [[0.5, 1.0]], [[0.25, 0.5]]]
+    coeffs[d][0][1] = value
+    return {"states": ("a",), "coeffs": coeffs}
+
+
+def signal_with(value: float) -> dict:
+    """Signal arguments with ``value`` beside 0.5 in row 0, at nu = 0.5."""
+    return {"pi": [[0.5, value], [0.25, 0.25]], "nu": 0.5}
+
+
+def matrix_with(i: int, j: int, value: float) -> dict:
+    """Disobedience arguments with entry (i, j) of the 3-link uniform matrix set to ``value``."""
+    m = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+    m[i][j] = value
+    return {"matrix": m}
+
+
+def reference_default_matrix(n: int) -> np.ndarray:
+    """``DisobedienceMatrix.default``'s matrix as first written, the byte reference."""
+    if n == 2:
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = np.full((n, n), 1.0 / (n - 1))
+    np.fill_diagonal(m, 0.0)
+    return m
 
 
 def latency(model: LatencyModel, w: int, f: np.ndarray) -> np.ndarray:
@@ -99,6 +129,17 @@ class TestPolyRows:
 
 
 class TestMMaxDefault:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(2, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_reduction_wrappers(self, seed, dplus1, s, n):
+        rng = np.random.default_rng(seed)
+        coeffs = 10.0 ** rng.uniform(-300, 300, size=(dplus1, s, n))
+        coeffs[2:] *= rng.choice([-1.0, 1.0], size=coeffs[2:].shape)  # only d >= 2 may be < 0
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        model = LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs)
+        want = float(model.coeffs.max(axis=1).sum())  # the expression as first written
+        assert m_max_default(model).hex() == want.hex()
+
     def test_affine_benchmark(self):
         assert m_max_default(affine_latency()) == pytest.approx(51.0, abs=1e-12)
 
@@ -244,10 +285,78 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DisobedienceMatrix(np.array([[0.0, 0.9], [1.0, 0.0]]))
 
-    def test_default_disobedience(self):
-        assert np.array_equal(DisobedienceMatrix.default(2).matrix, [[0, 1], [1, 0]])
-        u3 = DisobedienceMatrix.default(3).matrix
-        assert np.allclose(u3, np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]))
+    @pytest.mark.parametrize("n", [2, 3, 32])
+    def test_default_disobedience(self, n):
+        got = DisobedienceMatrix.default(n).matrix
+        assert got.shape == (n, n) and got.tobytes() == reference_default_matrix(n).tobytes()
+        assert not got.flags.writeable
+
+    # Every check on the construction path, with the type and message of its
+    # error; where an input breaks two checks, the first one's error.
+    @pytest.mark.parametrize("constructor, kwargs, exc_type, message", [
+        *[(LatencyModel, coeffs_with(d, v), ConfigurationError,
+           "latency coefficients must be finite")
+          for d in (0, 1, 2) for v in (NAN, INF, -INF)],
+        (LatencyModel, coeffs_with(0, -1.0), ConfigurationError,
+         "constant latency coefficients must be nonnegative"),
+        (LatencyModel, coeffs_with(1, -1.0), ConfigurationError,
+         "linear latency coefficients must be nonnegative"),
+        (LatencyModel, {"states": ("a",), "coeffs": [[[-1.0, 2.0]], [[NAN, 1.0]]]},
+         ConfigurationError, "latency coefficients must be finite"),
+        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[0.0, 1.0]]],
+                        "require_strict_increase": True}, ConfigurationError,
+         "strict-increase requested but some (state, link) has no positive coefficient "
+         "of degree >= 1"),
+        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[-0.0, 1.0]]],
+                        "require_strict_increase": True}, ConfigurationError,
+         "strict-increase requested but some (state, link) has no positive coefficient "
+         "of degree >= 1"),
+        *[(Prior, {"mu0": mu0}, ConfigurationError,
+           "prior must be finite and strictly positive on every state")
+          for mu0 in ([0.0, 1.0], [-0.0, 1.0], [NAN, 0.5], [0.5, NAN], [-INF, 0.5], [-0.5, 1.5])],
+        (Prior, {"mu0": [INF, 0.5]}, ConfigurationError, "prior sums to inf, expected 1"),
+        (Prior, {"mu0": [0.5, 0.4]}, ConfigurationError, "prior sums to 0.9, expected 1"),
+        (Prior, {"mu0": [0.5, 0.5 + 2e-12]}, ConfigurationError,
+         "prior sums to 1.000000000002, expected 1"),
+        *[(Signal, signal_with(v), ConfigurationError,
+           "signal entries must be finite and nonnegative") for v in (NAN, INF, -INF, -1.0)],
+        (Signal, {"pi": [[0.3, 0.2], [0.2, 0.4]], "nu": 0.5}, SignalRowError,
+         "signal row 1 sums to 0.6000000000000001, expected nu=0.5"),
+        (Signal, {"pi": [[0.3, 0.18], [0.2, 0.4]], "nu": 0.5}, SignalRowError,
+         "signal row 0 sums to 0.48, expected nu=0.5"),
+        (Signal, {"pi": [[0.5, 0.0]], "nu": 1.0}, SignalRowError,
+         "signal row 0 sums to 0.5, expected nu=1.0"),
+        *[(DisobedienceMatrix, matrix_with(i, j, v), ConfigurationError,
+           "disobedience matrix entries must be finite and nonnegative")
+          for i, j in ((0, 1), (2, 2)) for v in (NAN, INF, -INF, -0.5)],
+        (DisobedienceMatrix, matrix_with(1, 1, 0.5), ConfigurationError,
+         "disobedience matrix must have a zero diagonal"),
+        (DisobedienceMatrix, {"matrix": [[0.5, 0.5], [1.0, 0.0]]}, ConfigurationError,
+         "disobedience matrix must have a zero diagonal"),
+        (DisobedienceMatrix, matrix_with(2, 0, 0.4), ConfigurationError,
+         "disobedience matrix row 2 sums to 0.9, expected 1"),
+        (DisobedienceMatrix, {"matrix": [[0.0, 0.9], [1.0, 0.0]]}, ConfigurationError,
+         "disobedience matrix row 0 sums to 0.9, expected 1"),
+        (DisobedienceMatrix.default, {"n": 1}, ConfigurationError, "need at least 2 links, got 1"),
+    ])
+    def test_check_table(self, constructor, kwargs, exc_type, message):
+        with pytest.raises(ConfigurationError) as info:
+            constructor(**kwargs)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+        if exc_type is SignalRowError:
+            assert message.startswith(f"signal row {info.value.row} ")
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (LatencyModel, coeffs_with(0, -0.0)),
+        (LatencyModel, coeffs_with(1, -0.0)),
+        (LatencyModel, coeffs_with(2, -0.0)),
+        (Signal, {"pi": [[0.5, -0.0], [-0.0, 0.5]], "nu": 0.5}),
+        (Signal, {"pi": [[-0.0, -0.0]], "nu": 0.0}),
+        (DisobedienceMatrix, {"matrix": [[0.0, -0.0, 1.0], [0.5, -0.0, 0.5], [1.0, -0.0, -0.0]]}),
+    ])
+    def test_negative_zero_accepted(self, cls, kwargs):
+        cls(**kwargs)
 
     def test_small_m_max_needs_flag(self, caplog):
         from conftest import benchmark_config
