@@ -1,15 +1,18 @@
-"""The repeated game loop: state sampling, regret aggregation, flows, logging.
+"""The repeated game loop: state draws, regret aggregation, flows, logging.
 
-Each round samples a network state, realizes participating flows from the
-current disobedience fraction, lets the non-participating mass best-respond to
-its forecast, scores the recommendations against the realized latencies, and
-folds that score into the aggregate regret that drives the next round.
+Nature draws each round's network state i.i.d. from the prior, independently
+of play, so a run's states are drawn before round 1, into the ``omega`` column
+of the run's :class:`Trajectory` (:meth:`Trajectory.for_run`).  Each round
+then realizes participating flows from the current disobedience fraction,
+lets the non-participating mass best-respond to its forecast, scores the
+recommendations against the realized latencies, and folds that score into the
+aggregate regret that drives the next round.
 
-:func:`step` is the one round; it returns a :class:`TrajectoryRecord`.
-:func:`simulate` runs it with each round written into row ``k - 1`` of the
-preallocated columns of a :class:`Trajectory`, one array per CSV column, so a
-run holds 8 * (6 + 4n) bytes per round.  Indexing a ``Trajectory`` gives the
-round's record again, as views of the column rows; the CSV export and the
+:func:`step` is the one round: it reads its state from ``omega`` and writes
+every other column of its row ``k - 1``.  :func:`simulate` builds the columns,
+one array per CSV column, so a run holds 8 * (6 + 4n) bytes per round, and
+steps through them.  Indexing a ``Trajectory`` gives a round as a
+:class:`TrajectoryRecord` of views of the column rows; the CSV export and the
 calibration score read the columns.
 """
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -35,16 +37,18 @@ _BLOCK_CELLS = 1024  # CSV cells converted to text per block of rows
 
 @dataclass(slots=True)
 class SimulationState:
-    """Mutable per-run state; round k + 1 is fully determined by round k.
+    """Mutable per-run state; round k + 1 is fully determined by round k and its drawn state.
 
-    :func:`step` advances the state in place, its generator included, and
-    returns the same object, so a state given to it holds the next round
-    afterwards and no earlier round can be replayed from it.  ``y_warm`` is
-    the last round's response, the start of the next solve.  ``y_warm_fixed``
-    is set once that start is its own simplex projection, byte for byte; the
-    solve then starts from it without projecting it again, and returns that
-    same array while it certifies at once, so consecutive records may share
-    one ``y`` array.  No array of a record is ever written in place.
+    The state holds no generator: the run's states are drawn up front into
+    its trajectory's ``omega`` column.  :func:`step` advances the state in
+    place and returns the same object, so a state given to it holds the next
+    round afterwards and no earlier round can be replayed from it.
+    ``y_warm`` is the last round's response, the start of the next solve.
+    ``y_warm_fixed`` is set once that start is its own simplex projection,
+    byte for byte; the solve then starts from it without projecting it
+    again, and returns that same array while it certifies at once, so
+    consecutive rounds may return one ``y`` array.  No such array is ever
+    written in place.
 
     The estimators' state is ``theta_hat``, the forecast for round k, and under
     the observer ``m_hat``, the regret estimate it is implied by (else None).
@@ -55,14 +59,16 @@ class SimulationState:
     theta_hat: float
     m_hat: float | None
     nu_current: float
-    rng: np.random.Generator
     y_warm: np.ndarray | None = None
     y_warm_fixed: bool = False
     game: CompiledGame | None = None  # the config's compiled game, from round 1 on
 
 
 class TrajectoryRecord(NamedTuple):
-    """Everything observable about one round."""
+    """Everything observable about one round: the type of ``trajectory[i]``.
+
+    Python scalars and views of row i of the columns; no round builds one.
+    """
 
     k: int
     omega: int
@@ -86,7 +92,8 @@ class Trajectory:
     ``y`` and ``ell`` have one column per link.  ``k`` and ``e_theta`` are
     derived.  ``len``, iteration and integer indexing give each round as a
     :class:`TrajectoryRecord` of Python scalars and row views; a slice gives a
-    ``Trajectory`` of the column slices.
+    ``Trajectory`` of the column slices.  :meth:`for_run` builds the columns
+    of a run, with its states drawn.
     """
 
     rounds: range
@@ -100,6 +107,33 @@ class Trajectory:
     x_hat: np.ndarray
     y: np.ndarray
     ell: np.ndarray
+
+    @classmethod
+    def for_run(cls, config: GameConfig) -> "Trajectory":
+        """Columns for every round of ``config``'s run, ``omega`` drawn, the rest unwritten.
+
+        Round k's state is the first w whose cumulative prior exceeds the
+        k-th double of ``Generator(PCG64(seed))``, the states' listed order
+        being the cumulative order, or the last state if none does, since the
+        cumulative sum can round a hair below 1.  One ``random(rounds)`` call
+        gives the doubles of ``rounds`` calls of ``random()``, and
+        ``searchsorted`` with ``side="right"`` finds the index that
+        ``bisect_right`` finds, so the states are those of one inverse-CDF
+        draw per round.  The doubles are freed before the other columns are
+        allocated.  A ``rounds`` too large to allocate raises
+        :class:`ConfigurationError`.
+        """
+        rounds, n = config.rounds, config.latency.n
+        try:
+            cum = np.add.accumulate(config.prior.mu0)
+            omega = cum.searchsorted(
+                np.random.Generator(np.random.PCG64(config.seed)).random(rounds), side="right")
+            np.minimum(omega, cum.size - 1, out=omega)
+            return cls(range(1, rounds + 1), omega, *(np.empty(rounds) for _ in range(5)),
+                       *(np.empty((rounds, n)) for _ in range(4)))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(
+                f"rounds = {rounds} is too many to allocate: {exc}") from None
 
     @property
     def k(self) -> np.ndarray:
@@ -161,19 +195,16 @@ def initial_state(config: GameConfig) -> SimulationState:
         theta_hat=config.theta_hat_init,
         m_hat=config.theta_hat_init * config.m_max if observer else None,
         nu_current=config.signal.nu,
-        rng=np.random.Generator(np.random.PCG64(config.seed)),
     )
 
 
-def _sample_state(rng: np.random.Generator, cum_prior: tuple[float, ...]) -> int:
-    """Inverse-CDF draw with the states' listed order as the cumulative order."""
-    idx = bisect_right(cum_prior, rng.random())
-    return min(idx, len(cum_prior) - 1)  # the cumulative sum can round a hair below 1
+def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> SimulationState:
+    """Play round k = ``state.k`` into row k - 1 of ``trajectory``; returns ``state``, advanced.
 
-
-def step(config: GameConfig, state: SimulationState,
-         into: Trajectory | None = None) -> tuple[SimulationState, TrajectoryRecord]:
-    """Advance the game by one round; returns ``state``, advanced in place, and the record.
+    ``trajectory`` holds the run's columns, as :meth:`Trajectory.for_run`
+    builds them: the round reads its state from ``omega[k - 1]`` and writes
+    every other column of that row, which is how :func:`simulate` fills a
+    run.  A caller who steps by hand reads the round from the columns.
 
     Runs the kernels on the config's compiled game and revalidates nothing:
     the config was validated when it was built, and every value here derives
@@ -183,16 +214,15 @@ def step(config: GameConfig, state: SimulationState,
     of :meth:`BetaSchedule.at`.  A regret that leaves [-m_max, m_max] is
     clamped to it with a warning, and one that is not finite raises
     :class:`ConfigurationError` naming the round; so does a non-finite regret
-    estimate of the observer.  With ``into``, the round's record is also
-    written into row ``k - 1`` of its columns, which is how :func:`simulate`
-    fills a run.
+    estimate of the observer; the row of a round that raises is not written.
 
     The best response starts from the last round's.  That start is fixed once
     a solve certifies at iteration 0 and returns the bytes it started from
     (compared as bytes, so that -0.0 does not pass for 0.0): the start is then
     its own projection, and later rounds skip projecting it until the solver
     iterates again.  While it stays fixed, each round's ``y`` is the same
-    array as the last round's, never written in place.
+    array as the last round's, never written in place; a round with no mass
+    to respond returns the compiled read-only zero vector.
 
     Under dynamic nu the recommendation rows are rescaled each round.  The
     best response reads every state's row, so a round with mass left to
@@ -208,7 +238,8 @@ def step(config: GameConfig, state: SimulationState,
     if game is None:
         game = state.game = CompiledGame.of(config)
     k, m, theta_hat, m_max = state.k, state.m, state.theta_hat, game.m_max
-    omega = _sample_state(state.rng, game.cum_prior)
+    i = k - 1
+    omega = trajectory.omega[i]
     theta = min(max(m, 0.0) / m_max, 1.0)
 
     # Under dynamic nu the participating mass follows the last round's theta.
@@ -249,46 +280,35 @@ def step(config: GameConfig, state: SimulationState,
         state.m_hat = m_hat
         state.theta_hat = min(max(m_hat, 0.0) / m_max, 1.0)
 
+    # abs leaves no -0.0, so the first largest entry is the value np.maximum.reduce returns.
     gap = x - pi_w
-    np.abs(gap, out=gap)
-    record = TrajectoryRecord(
-        k=k,
-        omega=omega,
-        theta=theta,
-        theta_hat=theta_hat,
-        x=x,
-        x_hat=x_hat,
-        y=y,
-        ell=ell,
-        u=u,
-        m_next=m_next,
-        e_theta=theta - theta_hat,
-        flow_gap=float(np.maximum.reduce(gap)),
-    )
-    if into is not None:
-        i = k - 1
-        (_, into.omega[i], into.theta[i], into.theta_hat[i], into.x[i], into.x_hat[i], into.y[i],
-         into.ell[i], into.u[i], into.m_next[i], _, into.flow_gap[i]) = record
+    np.abs(gap, gap)
+    trajectory.theta[i] = theta
+    trajectory.theta_hat[i] = theta_hat
+    trajectory.u[i] = u
+    trajectory.m_next[i] = m_next
+    trajectory.flow_gap[i] = gap[gap.argmax()]
+    trajectory.x[i] = x
+    trajectory.x_hat[i] = x_hat
+    trajectory.y[i] = y
+    trajectory.ell[i] = ell
     state.y_warm_fixed = iterations == 0 and start is not None and (
         state.y_warm_fixed or y.tobytes() == start.tobytes())
     state.k, state.m, state.y_warm = k + 1, m_next, y
     if game.dynamic_nu:
         state.nu_current = theta
-    return state, record
+    return state
 
 
 def simulate(config: GameConfig) -> Trajectory:
     """Run the configured number of rounds; bit-reproducible for a fixed seed.
 
-    Each round is written into its row of preallocated columns; the columns
-    are read-only once the run ends.
+    Builds the run's columns with its states drawn (:meth:`Trajectory.for_run`)
+    and steps through them; the columns are read-only once the run ends.
     """
-    rounds, n = config.rounds, config.latency.n
-    trajectory = Trajectory(range(1, rounds + 1), np.empty(rounds, dtype=np.intp),
-                            *(np.empty(rounds) for _ in range(5)),
-                            *(np.empty((rounds, n)) for _ in range(4)))
+    trajectory = Trajectory.for_run(config)
     state = initial_state(config)
-    for _ in range(rounds):
+    for _ in trajectory.rounds:
         step(config, state, trajectory)
     for column in fields(trajectory)[1:]:  # setflags: see project_simplex on name strings
         getattr(trajectory, column.name).setflags(write=False)

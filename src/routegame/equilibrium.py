@@ -244,9 +244,10 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
 
     ``xhat`` holds one row of forecast participating flows per state.
     Returns ``(y, vi_margin, iterations)``.  A zero response mass does not
-    read ``xhat``.  ``start`` is projected, not checked, unless
-    ``start_fixed`` says it is a float array whose projection onto the
-    simplex of mass ``game.mass`` has its own bytes; then it is used as is,
+    read ``xhat`` and returns the compiled read-only zero vector.  ``start``
+    is projected, not checked, unless ``start_fixed`` says it is a float
+    array whose projection onto the simplex of mass ``game.mass`` has its own
+    bytes; then it is used as is,
     which gives the same bits, since the projection is a pure function.  A
     response that certifies at iteration 0 is the start point itself, the
     same array.  The coefficient rows of :func:`response_coeffs` are built
@@ -264,10 +265,11 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
     """
     mass, n = game.mass, game.pi.shape[1]
     if mass == 0.0:
-        return np.zeros(n), 0.0, 0
+        return game.zero_response, 0.0, 0
     rows = response_coeffs(game, xhat)
     if start is None:
-        y = np.full(n, mass / n)
+        y = np.empty(n)
+        y.fill(mass / n)
     elif start_fixed:
         y = start
     else:

@@ -43,14 +43,32 @@ def _readonly(a, name: str) -> np.ndarray:
     return arr
 
 
-def _finite_nonnegative(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite and >= 0, in two reductions and no temporaries.
+def _finite_nonnegative_max(a: np.ndarray) -> float | None:
+    """The largest entry of ``a`` (0.0 if empty) if every entry is finite and >= 0, else None.
 
-    ``np.minimum`` and ``np.maximum`` propagate NaN, which fails both
-    comparisons; ``initial=0.0`` lets an empty array pass, as ``np.all`` does.
+    Two reductions and no temporaries.  ``np.minimum`` and ``np.maximum``
+    propagate NaN, which fails both comparisons; ``initial=0.0`` lets an
+    empty array pass, as ``np.all`` does.
     """
-    return (0.0 <= np.minimum.reduce(a, axis=None, initial=0.0)
-            and np.maximum.reduce(a, axis=None, initial=0.0) < math.inf)
+    top = np.maximum.reduce(a, axis=None, initial=0.0)
+    if 0.0 <= np.minimum.reduce(a, axis=None, initial=0.0) and top < math.inf:
+        return top
+    return None
+
+
+def _row_sums(a: np.ndarray, top: float) -> np.ndarray:
+    """Sums along the last axis of ``a``, whose entries are >= 0 and at most ``top``.
+
+    A row that sums to a mass of at most 1, within ``INPUT_TOL``, has no
+    entry above 2, and entries of at most 2 cannot overflow a sum.  Any other
+    ``a`` fails its sum check whatever its sums are; they are then taken with
+    overflow to inf allowed, so that the check raises its own error, not
+    numpy's overflow warning.
+    """
+    if top <= 2.0:
+        return np.add.reduce(a, axis=-1)
+    with np.errstate(over="ignore"):
+        return np.add.reduce(a, axis=-1)
 
 
 def _check_unit_interval(x: float, name: str) -> None:
@@ -139,9 +157,9 @@ class Prior:
         object.__setattr__(self, "mu0", mu0)
         if mu0.ndim != 1 or mu0.size < 1:
             raise ConfigurationError("prior must be a nonempty vector")
-        if not np.logical_and.reduce(mu0 > 0):  # NaN fails too; an infinite entry fails the sum
+        if not 0.0 < np.minimum.reduce(mu0):  # NaN fails too; an infinite entry fails the sum
             raise ConfigurationError("prior must be finite and strictly positive on every state")
-        total = float(np.add.reduce(mu0))
+        total = float(_row_sums(mu0, np.maximum.reduce(mu0)))
         if abs(total - 1.0) > INPUT_TOL:
             raise ConfigurationError(f"prior sums to {float(total)!r}, expected 1")
 
@@ -164,9 +182,10 @@ class Signal:
         _check_unit_interval(self.nu, "participation fraction nu")
         if pi.ndim != 2:
             raise ConfigurationError(f"signal must be a (states, links) matrix, got shape {pi.shape}")
-        if not _finite_nonnegative(pi):
+        top = _finite_nonnegative_max(pi)
+        if top is None:
             raise ConfigurationError("signal entries must be finite and nonnegative")
-        sums = np.add.reduce(pi, axis=1)
+        sums = _row_sums(pi, top)
         bad = (np.abs(sums - self.nu) > INPUT_TOL).nonzero()[0]
         if bad.size:
             w = int(bad[0])
@@ -192,11 +211,12 @@ class DisobedienceMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"disobedience matrix must be square, got shape {m.shape}")
-        if not _finite_nonnegative(m):
+        top = _finite_nonnegative_max(m)
+        if top is None:
             raise ConfigurationError("disobedience matrix entries must be finite and nonnegative")
         if np.logical_or.reduce(m.diagonal() != 0):
             raise ConfigurationError("disobedience matrix must have a zero diagonal")
-        sums = np.add.reduce(m, axis=1)
+        sums = _row_sums(m, top)
         bad = (np.abs(sums - 1.0) > INPUT_TOL).nonzero()[0]
         if bad.size:
             i = int(bad[0])
@@ -361,8 +381,11 @@ def m_max_default(model: LatencyModel) -> float:
     """Safe regret normalizer: per-link, per-degree worst-state coefficients, summed.
 
     Bounds the aggregate payoff difference for any flows of total mass <= 1.
+    Coefficients too large for a finite sum give inf or nan, which
+    :class:`GameConfig` rejects, without numpy's overflow warning.
     """
-    return float(np.add.reduce(np.maximum.reduce(model.coeffs, axis=1), axis=None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.reduce(np.maximum.reduce(model.coeffs, axis=1), axis=None))
 
 
 def rerouting_shift(matrix: np.ndarray, pi_w: np.ndarray) -> np.ndarray:
@@ -402,11 +425,11 @@ class CompiledGame:
     solver_tol: float
     coeffs: np.ndarray                  # latency coefficients (degree + 1, states, links)
     mu0: np.ndarray
-    cum_prior: tuple[float, ...]        # cumulative prior, for inverse-CDF state draws
     pi: np.ndarray                      # (states, links) recommendation rows
     shift: np.ndarray                   # row w: rerouting_shift(D, pi[w])
     rerouting: np.ndarray               # disobedience matrix D
     response_const: np.ndarray          # (degree + 1, links), read-only
+    zero_response: np.ndarray           # (links,) read-only zeros, the response of zero mass
     step_rank: np.ndarray               # (degree, 1) column 1.0 .. degree
     step_mass_powers: np.ndarray        # (degree, 1) column mass ** (step_rank - 1)
     discount: float | None              # set for the discounted scenario only
@@ -421,6 +444,8 @@ class CompiledGame:
         for p in range(coeffs.shape[0]):
             const[p] += mu0 @ coeffs[p]
         const.setflags(write=False)  # its top row is a response row, shared by every solve
+        zero = np.zeros(coeffs.shape[2])
+        zero.setflags(write=False)  # returned by every solve of zero mass
         mass = 1.0 - config.signal.nu
         rank = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
         est = config.estimator
@@ -431,11 +456,11 @@ class CompiledGame:
             solver_tol=config.solver_tol,
             coeffs=coeffs,
             mu0=mu0,
-            cum_prior=tuple(np.add.accumulate(mu0).tolist()),
             pi=pi,
             shift=_shifts(config.disobedience.matrix, pi),
             rerouting=config.disobedience.matrix,
             response_const=const,
+            zero_response=zero,
             step_rank=rank,
             step_mass_powers=mass ** (rank - 1.0),
             discount=config.scenario.discount,

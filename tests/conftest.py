@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import comb
 
 import numpy as np
@@ -41,6 +42,24 @@ def benchmark_config(nu: float = 0.5, **overrides) -> GameConfig:
 @pytest.fixture
 def paper_config() -> GameConfig:
     return benchmark_config()
+
+
+def reference_sample_state(rng: np.random.Generator, cum_prior: tuple[float, ...]) -> int:
+    """One inverse-CDF draw, with the states' listed order as the cumulative order."""
+    idx = bisect_right(cum_prior, rng.random())
+    return min(idx, len(cum_prior) - 1)  # the cumulative sum can round a hair below 1
+
+
+def reference_states(config: GameConfig) -> np.ndarray:
+    """A run's states drawn one :func:`reference_sample_state` per round.
+
+    The byte reference for the ``omega`` column that ``Trajectory.for_run``
+    draws in one call.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    cum_prior = tuple(np.add.accumulate(config.prior.mu0).tolist())
+    return np.array([reference_sample_state(rng, cum_prior) for _ in range(config.rounds)],
+                    dtype=np.intp)
 
 
 def grid_best_response(config: GameConfig, theta: float, step: float = 1e-3) -> np.ndarray:

@@ -384,6 +384,16 @@ class TestSimulateCommand:
         assert data.count(b"\r\n") == 21
         assert ",café,".encode() in data
 
+    @pytest.mark.parametrize("rounds", [10**30, 2**60])
+    def test_rounds_too_large_to_allocate_exit_one(self, tmp_path, capsys, rounds):
+        # numpy rejects either size before it allocates anything
+        rc = main(["simulate", "--config", str(write_config(tmp_path, rounds=rounds)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rounds = {rounds} is too many to allocate: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("gain", ["nan", "inf"])
     def test_non_finite_observer_gain_exit_one(self, tmp_path, capsys, gain):
         rc = main(["simulate", "--config", str(PAPER_CONFIG), "--estimator", f"luenberger={gain}",

@@ -6,6 +6,7 @@ import io
 import logging
 import sys
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from routegame.dynamics import fold_regret, payoff_gap, trajectory_columns
 from routegame.estimators import envelope_series
 from routegame.model import CompiledGame, _rescaled, flows, rerouting_shift
 
-from conftest import AFFINE_COEFFS, benchmark_config
+from conftest import AFFINE_COEFFS, benchmark_config, reference_states
 from test_golden import DIGESTS, SCENARIOS, case, cubic_config
 
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
@@ -133,8 +134,9 @@ class TestThetaOfM:
 class TestStep:
     def test_single_round_against_straight_line_script(self, paper_config):
         cfg = replace(paper_config, seed=2)
-        state = initial_state(cfg)
-        new_state, rec = step(cfg, state)
+        state, trajectory = initial_state(cfg), Trajectory.for_run(cfg)
+        new_state = step(cfg, state, trajectory)
+        rec = trajectory[0]
 
         # oracle: replay the round with no package machinery beyond the rng
         rng = np.random.Generator(np.random.PCG64(2))
@@ -206,9 +208,10 @@ class TestStep:
 
 
     def test_returns_the_state_it_was_given(self, paper_config):
-        state = initial_state(paper_config)
+        state, trajectory = initial_state(paper_config), Trajectory.for_run(paper_config)
         for k in (1, 2, 3):
-            advanced, record = step(paper_config, state)
+            advanced = step(paper_config, state, trajectory)
+            record = trajectory[k - 1]
             assert advanced is state and record.k == k and state.k == k + 1
             assert state.m == record.m_next
 
@@ -235,13 +238,13 @@ class TestNonFiniteRegret:
             return value if len(calls) == bad_round else gap(*args)
 
         monkeypatch.setattr(dynamics, "payoff_gap", poisoned)
-        state = initial_state(config)
+        state, trajectory = initial_state(config), Trajectory.for_run(config)
         for _ in range(bad_round - 1):
-            step(config, state)
+            step(config, state, trajectory)
         m, theta_hat = state.m, state.theta_hat
         with pytest.raises(ConfigurationError,
                            match=f"^round {bad_round}: regret must be finite, got {value}$"):
-            step(config, state)
+            step(config, state, trajectory)
         # the failed round leaves the regret and the forecast as they were
         assert (state.k, state.m, state.theta_hat) == (bad_round, m, theta_hat)
         calls.clear()
@@ -264,6 +267,64 @@ class TestNonFiniteRegret:
                                  f"got {value}$"):
             simulate(config)
         assert len(calls) == bad_round
+
+
+def states_config(mu0, **overrides) -> GameConfig:
+    """A game on the prior ``mu0``, with one state per entry and two links."""
+    s = len(mu0)
+    return GameConfig(latency=LatencyModel(states=tuple(f"s{w}" for w in range(s)),
+                                           coeffs=np.ones((2, s, 2))),
+                      prior=Prior(mu0), signal=Signal(pi=np.full((s, 2), 0.5), nu=1.0),
+                      disobedience=SWAP, **overrides)
+
+
+class TestStateDraws:
+    """``Trajectory.for_run`` draws the states of one reference draw per round, as bytes."""
+
+    # A shrink of 4e-13 keeps the prior within its tolerance of 1 and its
+    # cumulative sum below 1; about 1 in 20 unshrunk priors also ends below 1.
+    @given(st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 2, 5000]),
+           st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 2.0**-52, 4e-13]))
+    @settings(max_examples=100, deadline=None)
+    def test_omega_has_the_bytes_of_reference_draws(self, s, rounds, seed, prior_seed, shrink):
+        mu0 = np.random.default_rng(prior_seed).dirichlet(np.ones(s))
+        config = states_config(mu0 / mu0.sum() * (1.0 - shrink), rounds=rounds, seed=seed)
+        assert same_bytes(Trajectory.for_run(config).omega, reference_states(config))
+
+    def test_draws_on_and_above_the_cumulative_sums(self, monkeypatch):
+        # Doubles on each boundary, a hair either side, and above a cumulative
+        # sum that ends below 1, where the last state is drawn.
+        config = states_config([0.5075997380112671, 0.4110121475105249, 0.08138811447820796])
+        cum = np.add.accumulate(config.prior.mu0)
+        assert cum[-1] < 1.0
+        doubles = [0.0, np.nextafter(cum[0], 0.0), cum[0], cum[1], np.nextafter(cum[1], 1.0),
+                   np.nextafter(cum[2], 0.0), cum[2], np.nextafter(cum[2], 1.0), 1.0 - 2.0**-53]
+        config = replace(config, rounds=len(doubles))
+
+        class Replay:  # a generator whose doubles are ``doubles``, in order
+            def __init__(self, bit_generator):
+                self.doubles = iter(doubles)
+
+            def random(self, size=None):
+                if size is None:
+                    return float(next(self.doubles))
+                return np.array([next(self.doubles) for _ in range(size)])
+
+        monkeypatch.setattr(np.random, "Generator", Replay)
+        omega, want = Trajectory.for_run(config).omega, reference_states(config)
+        assert same_bytes(omega, want)
+        assert omega.tolist() == [0, 0, 1, 2, 2, 2, 2, 2, 2]
+        assert [bisect_right(cum.tolist(), u) for u in doubles[-3:]] == [3, 3, 3]  # clamped
+
+    @pytest.mark.parametrize("rounds", [10**30, 2**60])
+    def test_rounds_too_large_to_allocate(self, paper_config, rounds):
+        # numpy rejects either size before it allocates anything
+        config = replace(paper_config, rounds=rounds)
+        with pytest.raises(ConfigurationError, match=f"^rounds = {rounds} is too many to allocate: "):
+            simulate(config)
+        with pytest.raises(ConfigurationError, match=f"^rounds = {rounds} "):
+            Trajectory.for_run(config)
 
 
 class TestSimulate:
@@ -312,15 +373,14 @@ class TestSimulate:
 
     def test_luenberger_estimator_tracks_regret(self, paper_config):
         cfg = replace(paper_config, estimator=LuenbergerSpec.from_scalar(0.0, 2), rounds=800)
-        state = initial_state(cfg)
+        state, trajectory = initial_state(cfg), Trajectory.for_run(cfg)
         e1 = cfg.m_init - state.m_hat
-        records = []
-        for _ in range(cfg.rounds):
-            state, rec = step(cfg, state)
-            records.append(rec)
+        for i in range(cfg.rounds):
+            state = step(cfg, state, trajectory)
+            rec = trajectory[i]
             # zero-gain observer: estimation error decays exactly harmonically
             assert (rec.m_next - state.m_hat) * state.k == pytest.approx(e1, abs=1e-9)
-        assert records[-1].theta_hat == pytest.approx(records[-1].theta, abs=1e-2)
+        assert trajectory[-1].theta_hat == pytest.approx(trajectory[-1].theta, abs=1e-2)
 
 
 class TestCalibration:
@@ -458,10 +518,10 @@ class TestTrajectoryColumns:
     @pytest.mark.parametrize("name", AGREEMENT_CASES)
     def test_simulate_matches_step_loop(self, name):
         config, _ = case(name)
-        state, records = initial_state(config), []
-        for _ in range(config.rounds):
-            state, record = step(config, state)
-            records.append(record)
+        state, stepped, records = initial_state(config), Trajectory.for_run(config), []
+        for i in range(config.rounds):
+            state = step(config, state, stepped)
+            records.append(stepped[i])
         trajectory = simulate(config)
 
         assert len(trajectory) == len(records)
@@ -494,13 +554,11 @@ COLUMNS = tuple(f.name for f in fields(Trajectory))[1:]  # every stored column, 
 
 
 def step_loop(config: GameConfig) -> Trajectory:
-    """``config`` run round by round through ``step``, its records stacked into columns."""
-    state, records = initial_state(config), []
+    """``config`` run round by round through ``step``, into the columns of a run."""
+    state, trajectory = initial_state(config), Trajectory.for_run(config)
     for _ in range(config.rounds):
-        state, record = step(config, state)
-        records.append(record)
-    columns = {name: np.array([getattr(r, name) for r in records]) for name in COLUMNS}
-    return Trajectory(rounds=range(1, config.rounds + 1), **columns)
+        state = step(config, state, trajectory)
+    return trajectory
 
 
 def projecting_step_loop(config: GameConfig) -> Trajectory:
@@ -596,28 +654,31 @@ class TestWarmStartSkip:
 
     def test_signed_zero_start_is_not_fixed(self, paper_config):
         # [0.5, -0.0] projects to [0.5, 0.0]: equal as numbers, not as bytes
+        trajectory = Trajectory.for_run(paper_config)
         state = replace(initial_state(paper_config), k=2, y_warm=np.array([0.5, -0.0]))
-        state, record = step(paper_config, state)
-        assert record.y.tobytes() == np.array([0.5, 0.0]).tobytes()
+        state = step(paper_config, state, trajectory)
+        assert state.y_warm.tobytes() == np.array([0.5, 0.0]).tobytes()
+        assert trajectory.y[1].tobytes() == np.array([0.5, 0.0]).tobytes()
         assert not state.y_warm_fixed
-        state, second = step(paper_config, state)  # [0.5, 0.0] is its own projection
+        state = step(paper_config, state, trajectory)  # [0.5, 0.0] is its own projection
+        second = state.y_warm
         assert state.y_warm_fixed
-        state, third = step(paper_config, state)
-        assert state.y_warm_fixed and third.y is second.y
+        state = step(paper_config, state, trajectory)
+        assert state.y_warm_fixed and state.y_warm is second
 
     def test_flag_follows_the_solver(self):
         # set only when a round returns its start's bytes; a fixed start stays
         # fixed, as the same array, until the solver iterates
         config = cubic_config()
-        state, fixed_rounds = initial_state(config), 0
+        state, trajectory, fixed_rounds = initial_state(config), Trajectory.for_run(config), 0
         for _ in range(config.rounds):
             start, was_fixed = state.y_warm, state.y_warm_fixed
-            state, record = step(config, state)
+            state = step(config, state, trajectory)
             if state.y_warm_fixed:
-                assert record.y.tobytes() == start.tobytes()
+                assert state.y_warm.tobytes() == start.tobytes()
             if was_fixed:
                 fixed_rounds += 1
-                assert state.y_warm_fixed == (record.y is start)
+                assert state.y_warm_fixed == (state.y_warm is start)
         assert 0 < fixed_rounds < config.rounds
 
 
@@ -701,10 +762,12 @@ class TestForecastRow:
         if estimator == "luenberger":
             config = replace(config, estimator=LuenbergerSpec.from_scalar(0.01, config.latency.n))
         game, state = CompiledGame.of(config), initial_state(config)
+        stepped = Trajectory.for_run(config)
         trajectory = simulate(config)
         for i in range(config.rounds):
             nu_current = state.nu_current
-            state, record = step(config, state)
+            state = step(config, state, stepped)
+            record = stepped[i]
             pi_w, shift_w = game.row_at(record.omega, nu_current)
             want = flows(pi_w, shift_w, record.theta_hat)
             assert same_bytes(record.x_hat, want), record.k
@@ -712,24 +775,25 @@ class TestForecastRow:
 
 
 # numpy's Python modules behind ndarray.min/max/sum/any/all (``_methods.py``)
-# and behind np.all, np.any, np.nonzero, np.full, np.fill_diagonal and np.diag.
+# and behind np.all, np.any, np.nonzero, np.full, np.searchsorted,
+# np.fill_diagonal and np.diag.
 CONSTRUCTION_WRAPPERS = ("_methods.py", "fromnumeric.py", "numeric.py", "_index_tricks_impl.py",
                          "_twodim_base_impl.py")
 
 
-def numpy_method_wrapper_calls(run, modules=("_methods.py",)) -> list[str]:
-    """Names of the Python functions in numpy's ``modules`` (file names) that ``run()`` enters.
+def numpy_method_wrapper_calls(run) -> list[str]:
+    """Names of the Python functions in :data:`CONSTRUCTION_WRAPPERS` that ``run()`` enters.
 
     ``ndarray.min``, ``max``, ``sum``, ``any`` and ``all`` go through
     ``_methods.py``; their ufuncs' ``reduce`` does the same work without the
-    Python frame.  The other modules of :data:`CONSTRUCTION_WRAPPERS` hold the
-    functions that wrap a ufunc method or an ndarray method the same way.
+    Python frame.  The other modules hold the functions that wrap a ufunc
+    method or an ndarray method the same way.
     """
     calls, previous = [], sys.getprofile()
 
     def profile(frame, event, arg):
         path = frame.f_code.co_filename
-        if event == "call" and "numpy" in path and Path(path).name in modules:
+        if event == "call" and "numpy" in path and Path(path).name in CONSTRUCTION_WRAPPERS:
             calls.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
@@ -741,9 +805,11 @@ def numpy_method_wrapper_calls(run, modules=("_methods.py",)) -> list[str]:
 
 
 class TestHotPath:
-    @pytest.mark.parametrize("name", ["paper_affine", "cubic_n8"])
+    @pytest.mark.parametrize("name", ["paper_affine", "paper_affine_nu1", "cubic_n8"])
     def test_no_numpy_method_wrappers(self, name):
-        config = cubic_config() if name == "cubic_n8" else load_config(PAPER_CONFIG)
+        # The run's state draws, every round and the cold start of check_obedience's solve.
+        config = cubic_config() if name == "cubic_n8" else load_config(
+            PAPER_CONFIG.with_name(f"{name}.yaml"))
         config = replace(config, rounds=200)
         assert numpy_method_wrapper_calls(lambda: simulate(config)) == []
         assert numpy_method_wrapper_calls(lambda: equilibrium.check_obedience(config)) == []
@@ -766,7 +832,7 @@ class TestHotPath:
             def build():
                 return load_config(PAPER_CONFIG.with_name(f"{name}.yaml"))
         build()  # first-call imports are not the result's
-        assert numpy_method_wrapper_calls(build, CONSTRUCTION_WRAPPERS) == []
+        assert numpy_method_wrapper_calls(build) == []
 
 
 class TestMemory:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, SmoothingSpec, envelope_series,
+from routegame import (BetaSchedule, ConfigurationError, Signal, SmoothingSpec, envelope_series,
                        simulate, theta_of_m)
 from routegame.estimators import observe, smooth
 from routegame.model import poly_rows
@@ -146,15 +146,34 @@ class TestLuenberger:
         assert theta_of_m(20.0, 10.0) == 1.0
 
 
-class TestReplay:
-    """The estimator kernels, fed a run's own columns, give its forecasts bit for bit."""
+def with_signed_zeros(config, seed: int):
+    """``config`` with 1 to n - 1 entries of each signal row set to -0.0.
 
-    @given(skip_games(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    Their mass moves onto one of the row's other entries.
+    """
+    rng = np.random.default_rng(seed)
+    pi = config.signal.pi.copy()
+    n = pi.shape[1]
+    for row in pi:
+        order = rng.permutation(n)
+        zeros = order[:rng.integers(1, n)]
+        row[order[-1]] += np.add.reduce(row[zeros])
+        row[zeros] = -0.0
+    return replace(config, signal=Signal(pi=pi, nu=config.signal.nu))
+
+
+class TestReplay:
+    """The kernels, fed a run's own columns, give its forecasts and flow gaps bit for bit."""
+
+    @given(skip_games(), st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     @settings(max_examples=40, deadline=None)
-    def test_kernels_replay_simulate(self, config, schedule_seed):
+    def test_kernels_replay_simulate(self, config, schedule_seed, zeros_seed):
         if isinstance(config.estimator, SmoothingSpec) and schedule_seed is not None:
             betas = np.random.default_rng(schedule_seed).uniform(0.31, 0.69, size=config.rounds)
             config = replace(config, estimator=SmoothingSpec(BetaSchedule.from_sequence(betas)))
+        if zeros_seed is not None:
+            config = with_signed_zeros(config, zeros_seed)
         trajectory = simulate(config)
         theta_hat = [config.theta_hat_init]
         m_hat = config.theta_hat_init * config.m_max
@@ -172,6 +191,14 @@ class TestReplay:
         m = [config.m_init, *trajectory.m_next[:-1].tolist()]
         theta = [theta_of_m(v, config.m_max) for v in m]
         assert np.array(theta).tobytes() == trajectory.theta.tobytes()
+        # the largest deviation from the round's recommendation row, rescaled under dynamic nu
+        nu, gaps = config.signal.nu, []
+        for i, rec in enumerate(trajectory):
+            pi_w = config.signal.pi[rec.omega]
+            if config.scenario.kind == "dynamic_nu" and i:
+                pi_w = pi_w * (trajectory.theta[i - 1] / nu)
+            gaps.append(np.maximum.reduce(np.abs(rec.x - pi_w)))
+        assert np.array(gaps).tobytes() == trajectory.flow_gap.tobytes()
 
 
 class TestEnvelope:

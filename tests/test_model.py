@@ -315,6 +315,8 @@ class TestValidation:
            "prior must be finite and strictly positive on every state")
           for mu0 in ([0.0, 1.0], [-0.0, 1.0], [NAN, 0.5], [0.5, NAN], [-INF, 0.5], [-0.5, 1.5])],
         (Prior, {"mu0": [INF, 0.5]}, ConfigurationError, "prior sums to inf, expected 1"),
+        # a sum that overflows raises the check's own error, not numpy's RuntimeWarning
+        (Prior, {"mu0": [1e308, 1e308]}, ConfigurationError, "prior sums to inf, expected 1"),
         (Prior, {"mu0": [0.5, 0.4]}, ConfigurationError, "prior sums to 0.9, expected 1"),
         (Prior, {"mu0": [0.5, 0.5 + 2e-12]}, ConfigurationError,
          "prior sums to 1.000000000002, expected 1"),
@@ -326,6 +328,8 @@ class TestValidation:
          "signal row 0 sums to 0.48, expected nu=0.5"),
         (Signal, {"pi": [[0.5, 0.0]], "nu": 1.0}, SignalRowError,
          "signal row 0 sums to 0.5, expected nu=1.0"),
+        (Signal, {"pi": [[0.5, 0.5], [1e308, 1e308]], "nu": 1.0}, SignalRowError,
+         "signal row 1 sums to inf, expected nu=1.0"),
         *[(DisobedienceMatrix, matrix_with(i, j, v), ConfigurationError,
            "disobedience matrix entries must be finite and nonnegative")
           for i, j in ((0, 1), (2, 2)) for v in (NAN, INF, -INF, -0.5)],
@@ -337,6 +341,12 @@ class TestValidation:
          "disobedience matrix row 2 sums to 0.9, expected 1"),
         (DisobedienceMatrix, {"matrix": [[0.0, 0.9], [1.0, 0.0]]}, ConfigurationError,
          "disobedience matrix row 0 sums to 0.9, expected 1"),
+        (DisobedienceMatrix, {"matrix": [[0.0, 0.5, 0.5], [1e308, 0.0, 1e308], [0.5, 0.5, 0.0]]},
+         ConfigurationError, "disobedience matrix row 1 sums to inf, expected 1"),
+        # m_max_default's sum of per-link maxima overflows
+        (benchmark_config,
+         {"latency": LatencyModel(states=("a", "b"), coeffs=np.full((2, 2, 2), 1e308))},
+         ConfigurationError, "m_max must be finite and positive, got inf"),
         (DisobedienceMatrix.default, {"n": 1}, ConfigurationError, "need at least 2 links, got 1"),
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
