@@ -29,15 +29,25 @@ from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenari
 
 OUT_DIR_ENV = "ROUTEGAME_OUT"
 
-# The optional numeric settings that GameConfig takes under their own names.
-_NUMBER_KEYS = {"m_max": float, "m_init": float, "theta_hat_init": float, "beta_min": float,
-                "beta_max": float, "solver_tol": float, "rounds": int, "seed": int}
-_ARRAY_KEYS = ("coeffs", "prior", "signal", "disobedience", "beta_schedule")
-_KNOWN_KEYS = {
-    "links", "states", "degree", "coeffs", "prior", "nu", "signal", "disobedience",
-    "allow_small_m_max", "beta", "beta_schedule", "scenario", "estimator", "strict_increase",
-    *_NUMBER_KEYS,
+# Every config key: the kind of value it takes, and whether a file must give it.
+# ``_convert`` reads each kind, and the model types check ranges and shapes.
+# ``int`` and ``float`` take a number (an integral one for ``int``), ``bool`` a
+# YAML boolean, "array" nested lists of numbers for a model type, "labels" a
+# list, "numbers" a list of numbers, and "whole" a scenario or estimator that
+# its own parser reads whole.
+_KEYS = {
+    "states": ("labels", True), "coeffs": ("array", True), "prior": ("array", True),
+    "nu": (float, True), "signal": ("array", True), "disobedience": ("array", False),
+    "links": (int, False), "degree": (int, False), "strict_increase": (bool, False),
+    "beta": (float, False), "beta_schedule": ("numbers", False),
+    "scenario": ("whole", False), "estimator": ("whole", False),
+    "m_max": (float, False), "allow_small_m_max": (bool, False), "m_init": (float, False),
+    "theta_hat_init": (float, False), "beta_min": (float, False), "beta_max": (float, False),
+    "solver_tol": (float, False), "rounds": (int, False), "seed": (int, False),
 }
+# The keys that GameConfig takes under their own names, read and written as they are.
+_OWN_FIELDS = ("m_max", "allow_small_m_max", "m_init", "theta_hat_init", "beta_min",
+               "beta_max", "solver_tol", "rounds", "seed")
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
 # write the same documents as the pure-Python classes, several times faster.
@@ -55,36 +65,56 @@ def _parse_file(path) -> dict:
         raise ConfigurationError(f"{path}: parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a mapping of config keys")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
+    unknown = [key for key in raw if key not in _KEYS]
+    if unknown:  # sorted as text: YAML keys may be numbers or null too
+        raise ConfigurationError(f"{path}: unknown config keys {sorted(map(str, unknown))}")
     return raw
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``; a value that does not convert is a ConfigurationError naming ``name``.
+    """``value`` read as ``kind`` (see ``_KEYS``), or a ConfigurationError naming ``name``.
 
-    A YAML boolean is not a number here, though ``float(True)`` is 1.0.  A
-    float is an integer only when it is integral: ``int(2.7)`` truncates to 2.
+    A YAML boolean is not a number here, though ``float(True)`` is 1.0, nor
+    an entry of an array, where numpy would read it as 1.0.  A float is an
+    integer only when it is integral: ``int(2.7)`` truncates to 2.  Each
+    branch below returns the value read, or falls through to the error.
     """
-    if not isinstance(value, bool):
+    if kind is int or kind is float:
+        if not isinstance(value, bool):
+            try:
+                converted = kind(value)
+            except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+                pass
+            else:
+                if kind is float or not isinstance(value, float) or value.is_integer():
+                    return converted
+    elif kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif kind in ("labels", "whole"):
+        if kind == "whole" or isinstance(value, list):
+            return value
+    elif kind in ("array", "numbers"):
         try:
-            converted = kind(value)
-        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-            pass
-        else:
-            if kind is not int or not isinstance(value, float) or value.is_integer():
-                return converted
-    noun = "an integer" if kind is int else "a number"
+            if _holds_bool(value):
+                raise ConfigurationError(f"{name} must hold numbers, got a boolean")
+        except RecursionError:  # such as a list that holds itself through a YAML alias
+            raise ConfigurationError(
+                f"{name} must be an array of numbers, got lists nested too deep") from None
+        if kind == "array":
+            return value
+        if isinstance(value, list):
+            return [_convert(float, v, name) for v in value]
+    noun = {int: "an integer", float: "a number", bool: "true or false",
+            "labels": "a list of labels", "numbers": "a list of numbers"}[kind]
     raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 def _holds_bool(value) -> bool:
     """Whether a YAML boolean is ``value`` or sits anywhere in its nested lists.
 
-    numpy would read ``true`` in an array as 1.0.  Each list's element types
-    are gathered in one pass in C, so the walk makes a Python call per nested
-    list, not per entry.
+    Each list's element types are gathered in one pass in C, so the walk
+    makes a Python call per nested list, not per entry.
     """
     if not isinstance(value, list):
         return isinstance(value, bool)
@@ -108,12 +138,15 @@ def _parse_scenario(value) -> Scenario:
 
 
 def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
-    if value == "smoothing" or value is None:
+    """``smoothing``, ``luenberger[=GAIN]`` or ``{luenberger: GAIN}``, GAIN a number or a list."""
+    if value == "smoothing":
         return SmoothingSpec()
-    if isinstance(value, str) and value.startswith("luenberger"):
-        _, _, gain = value.partition("=")
-        return LuenbergerSpec.from_scalar(_convert(float, gain or 0.0, "estimator gain"), n)
-    if isinstance(value, dict) and list(value) == ["luenberger"]:
+    if isinstance(value, str):
+        name, eq, gain = value.partition("=")
+        if name == "luenberger":
+            gain = _convert(float, gain, "estimator gain") if eq else 0.0
+            return LuenbergerSpec.from_scalar(gain, n)
+    elif isinstance(value, dict) and list(value) == ["luenberger"]:
         gain = value["luenberger"]
         if isinstance(gain, (int, float)) and not isinstance(gain, bool):
             return LuenbergerSpec.from_scalar(float(gain), n)
@@ -125,69 +158,43 @@ def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
 
 def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
     """The config the file's keys give; an absent key takes the model's own default."""
-    for key in ("states", "coeffs", "prior", "nu", "signal"):
-        if key not in raw:
+    for key, (_, required) in _KEYS.items():
+        if required and key not in raw:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
-    for key in _ARRAY_KEYS:
-        if key in raw and _holds_bool(raw[key]):
-            raise ConfigurationError(f"{path}: {key} must hold numbers, got a boolean")
+    values = {key: _convert(_KEYS[key][0], value, f"{path}: {key}") for key, value in raw.items()}
 
-    def number(key: str, kind=float):
-        return _convert(kind, raw[key], f"{path}: {key}")
-
-    def flag(key: str, name: str) -> dict[str, bool]:
-        """``{name: value}`` for a YAML boolean under ``key``; ``{}`` when the file lacks it."""
-        if key not in raw:
-            return {}
-        if not isinstance(raw[key], bool):  # bool() would read "false" or [0] as true
-            raise ConfigurationError(f"{path}: {key} must be true or false, got {raw[key]!r}")
-        return {name: raw[key]}
-
-    if not isinstance(raw["states"], (list, tuple)):
-        raise ConfigurationError(f"{path}: states must be a list of labels, got {raw['states']!r}")
-    latency = LatencyModel(states=tuple(raw["states"]), coeffs=raw["coeffs"],
-                           **flag("strict_increase", "require_strict_increase"))
-    if "links" in raw and number("links", int) != latency.n:
-        raise ConfigurationError(
-            f"{path}: links={raw['links']} but coeffs describe {latency.n} links")
-    if "degree" in raw and number("degree", int) != latency.degree:
-        raise ConfigurationError(
-            f"{path}: degree={raw['degree']} but coeffs describe degree {latency.degree}")
+    latency = LatencyModel(states=values["states"], coeffs=values["coeffs"],
+                           require_strict_increase=values.get("strict_increase", False))
+    for key, described in (("links", latency.n), ("degree", latency.degree)):
+        if key in values and values[key] != described:
+            raise ConfigurationError(
+                f"{path}: {key}={values[key]} but coeffs describe {key}={described}")
     try:
-        signal = Signal(pi=raw["signal"], nu=number("nu"))
+        signal = Signal(pi=values["signal"], nu=values["nu"])
     except SignalRowError as exc:  # name the row by its state
         label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
         raise SignalRowError(label, exc.total, exc.nu) from None
-
-    if "disobedience" in raw:
-        disobedience = DisobedienceMatrix(raw["disobedience"])
+    if "disobedience" in values:
+        disobedience = DisobedienceMatrix(values["disobedience"])
     else:
         disobedience = DisobedienceMatrix.default(latency.n)
 
-    if "beta_schedule" in raw:
-        if "beta" in raw:
-            raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
-        betas = raw["beta_schedule"]
-        if not isinstance(betas, list):
-            raise ConfigurationError(
-                f"{path}: beta_schedule must be a list of numbers, got {betas!r}")
-        schedule = {"schedule": BetaSchedule.from_sequence(
-            [_convert(float, b, f"{path}: beta_schedule") for b in betas])}
-    else:
-        schedule = {"schedule": BetaSchedule.constant(number("beta"))} if "beta" in raw else {}
-    estimator = _parse_estimator(raw.get("estimator", "smoothing"), latency.n)
-    if isinstance(estimator, SmoothingSpec):
-        estimator = SmoothingSpec(**schedule)
+    if "beta" in values and "beta_schedule" in values:
+        raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
+    estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n)
+    if isinstance(estimator, SmoothingSpec) and "beta_schedule" in values:
+        estimator = SmoothingSpec(BetaSchedule.from_sequence(values["beta_schedule"]))
+    elif isinstance(estimator, SmoothingSpec) and "beta" in values:
+        estimator = SmoothingSpec(BetaSchedule.constant(values["beta"]))
 
     return GameConfig(
         latency=latency,
-        prior=Prior(raw["prior"]),
+        prior=Prior(values["prior"]),
         signal=signal,
         disobedience=disobedience,
-        scenario=_parse_scenario(raw.get("scenario", "baseline")),
+        scenario=_parse_scenario(values.get("scenario", "baseline")),
         estimator=estimator,
-        **{key: number(key, kind) for key, kind in _NUMBER_KEYS.items() if key in raw},
-        **flag("allow_small_m_max", "allow_small_m_max"),
+        **{key: values[key] for key in _OWN_FIELDS if key in values},
     )
 
 
@@ -219,19 +226,11 @@ def config_to_dict(config: GameConfig) -> dict:
         "nu": config.signal.nu,
         "signal": config.signal.pi.tolist(),
         "disobedience": config.disobedience.matrix.tolist(),
-        "m_max": config.m_max,
-        "allow_small_m_max": config.allow_small_m_max,
-        "m_init": config.m_init,
-        "theta_hat_init": config.theta_hat_init,
         **beta_keys,
-        "beta_min": config.beta_min,
-        "beta_max": config.beta_max,
         "scenario": scenario,
         "estimator": estimator,
-        "solver_tol": config.solver_tol,
-        "rounds": config.rounds,
-        "seed": config.seed,
         "strict_increase": config.latency.require_strict_increase,
+        **{key: getattr(config, key) for key in _OWN_FIELDS},
     }
 
 
@@ -248,25 +247,25 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     raw = _parse_file(args.config)
-    for key in ("rounds", "scenario", "estimator"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
+    # A flag named after a config key replaces the file's value, before the one validation.
+    raw.update((key, value) for key, value in vars(args).items()
+               if key in _KEYS and value is not None)
     config = _build_config(raw, str(args.config))
-    seeds = args.seed if args.seed else [config.seed]
+    seeds = args.seeds or [config.seed]
     # Every seed is validated before the first file is written.
     run_configs = [config if seed == config.seed else replace(config, seed=seed)
                    for seed in seeds]
 
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     resolved_path = out_dir / "resolved_config.yaml"
-    with open(resolved_path, "w") as fh:
-        yaml.dump(config_to_dict(config), fh, Dumper=_Dumper, sort_keys=False)
-
     runs = []
     for idx, (seed, run_config) in enumerate(zip(seeds, run_configs)):
         started = time.perf_counter()
         trajectory = simulate(run_config)
+        if idx == 0:  # the first run's columns are allocated, so the run can start writing
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(resolved_path, "w") as fh:
+                yaml.dump(config_to_dict(config), fh, Dumper=_Dumper, sort_keys=False)
         csv_path = out_dir / f"run{idx:03d}_seed{seed}.csv"
         write_trajectory_csv(csv_path, trajectory, run_config,
                              with_envelope=args.emit_envelope)
@@ -311,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run seeded simulations and export trajectories")
     sim.add_argument("--config", required=True, help="path to the YAML config")
     sim.add_argument("--rounds", type=int, default=None, help="override the number of rounds")
-    sim.add_argument("--seed", type=int, action="append", default=None,
-                     help="seed to run (repeatable for sweeps)")
+    sim.add_argument("--seed", type=int, action="append", default=None, dest="seeds",
+                     metavar="SEED", help="seed to run (repeatable for sweeps)")
     sim.add_argument("--scenario", default=None,
                      help="baseline | discounted=LAMBDA | dynamic-nu")
     sim.add_argument("--estimator", default=None, help="smoothing | luenberger=GAIN")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,6 +333,18 @@ class GameConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
+        # Round k <= rounds folds the regret as (k m + u) / (k + 1).  After the
+        # clamp |m| <= m_max, and on a static-nu network |u| <= m_max_default,
+        # since every flow is at most 1.  So |k m + u| <= (rounds + 1) * bound
+        # with bound = max(m_max, m_max_default), and no step overflows when
+        # that product is finite; a NaN default fails the check.  Under
+        # dynamic_nu the flows can exceed 1, so |u| can exceed m_max_default,
+        # and a run that overflows there still raises its typed error.
+        bound = m_max if default_cap <= m_max else default_cap
+        if not self.rounds + 1 <= sys.float_info.max / bound:
+            raise ConfigurationError(
+                f"rounds={self.rounds} and m_max={m_max} can overflow the running-average "
+                f"regret: (rounds + 1) * max(m_max, {default_cap}) must be finite")
         if isinstance(self.estimator, SmoothingSpec):
             schedule = self.estimator.schedule
             schedule.check_bounds(self.beta_min, self.beta_max)

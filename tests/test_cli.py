@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from routegame import ConfigurationError, GameConfig, LuenbergerSpec, Scenario, cli
+from routegame import (ConfigurationError, GameConfig, LuenbergerSpec, Scenario, check_obedience,
+                       cli, simulate)
 from routegame.cli import (config_digest, config_to_dict, load_config, main)
 
 from test_golden import cubic_config
@@ -21,6 +29,13 @@ from test_golden import cubic_config
 REPO = Path(__file__).resolve().parent.parent
 PAPER_CONFIG = REPO / "configs" / "paper_affine.yaml"
 PAPER_CONFIG_NU1 = REPO / "configs" / "paper_affine_nu1.yaml"
+
+
+def self_containing_list() -> list:
+    """``[[...]]``: a list whose one entry is itself, as the YAML alias ``&a [*a]`` loads."""
+    selfish = []
+    selfish.append(selfish)
+    return selfish
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -82,6 +97,11 @@ class TestLoadConfig:
         path = write_config(tmp_path, bogus=1)
         with pytest.raises(ConfigurationError, match="bogus"):
             load_config(path)
+        # keys of mixed types are listed sorted as text, not with a TypeError from sorted()
+        raw = {**yaml.safe_load(PAPER_CONFIG.read_text()), 1: "a", "foo": "b"}
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        with pytest.raises(ConfigurationError, match=re.escape("unknown config keys ['1', 'foo']")):
+            load_config(path)
 
     def test_missing_required_key(self, tmp_path):
         raw = yaml.safe_load(PAPER_CONFIG.read_text())
@@ -134,6 +154,10 @@ class TestLoadConfig:
         assert _parse_estimator("luenberger=0.5", 3) == LuenbergerSpec(gain=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigurationError):
             _parse_estimator("kalman", 2)
+        # only luenberger and luenberger=GAIN select the observer; null is no estimator
+        for value in ("luenberger0.5", "luenbergerx", None):
+            with pytest.raises(ConfigurationError, match="unknown estimator"):
+                _parse_estimator(value, 2)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_keys_take_yaml_booleans(self, tmp_path, value):
@@ -393,6 +417,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: rounds = {rounds} is too many to allocate: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_estimator_flag_with_a_luenberger_prefix_exit_one(self, tmp_path, capsys):
+        # a typo for luenberger=0.5 must not run the observer with gain 0
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--estimator", "luenberger0.5",
+                   "--rounds", "5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown estimator 'luenberger0.5'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gain", ["nan", "inf"])
     def test_non_finite_observer_gain_exit_one(self, tmp_path, capsys, gain):
@@ -464,6 +497,9 @@ class TestCheckObedienceCommand:
         ("disobedience", [[False, True], [True, False]],
          "disobedience must hold numbers, got a boolean"),
         ("beta_schedule", [0.5, True], "beta_schedule must hold numbers, got a boolean"),
+        # safe_dump writes &id001 [*id001]; the walk must not escape as a RecursionError
+        ("disobedience", self_containing_list(),
+         "disobedience must be an array of numbers, got lists nested too deep"),
     ])
     def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
@@ -527,3 +563,73 @@ class TestCheckObedienceCommand:
         rc = main(["check-obedience", "--config", str(bad)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+# What a fuzzed key or array entry becomes: numbers at and past the edges of a
+# float, YAML's other scalars, malformed lists, and flag-style strings.
+FUZZ_VALUES = [0, -1, 2.5, 1e308, -1e308, math.nan, math.inf, -0.0, 1e-320, 10**30,
+               True, None, "x", [], [[1.0, 2.0], [3.0]], self_containing_list(),
+               "luenberger0.5", "dynamic-nu", {"discounted": 0.9}]
+SHIPPED = {path.name: path.read_text() for path in (PAPER_CONFIG, PAPER_CONFIG_NU1)}
+
+
+def shipped(name: str = "paper_affine.yaml", **changes) -> dict:
+    return {**yaml.safe_load(SHIPPED[name]), **changes}
+
+
+@st.composite
+def fuzzed_configs(draw) -> dict:
+    """A shipped config with one or two mutations.
+
+    A mutation sets a key's value, sets one leaf of a key's nested lists, or
+    adds an unknown key named by a string, an int or null.
+    """
+    raw = shipped(draw(st.sampled_from(sorted(SHIPPED))))
+    for _ in range(draw(st.integers(1, 2))):
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        how = draw(st.sampled_from(["value", "leaf", "unknown key"]))
+        if how == "unknown key":
+            raw[draw(st.sampled_from(["foo", 7, None]))] = value
+            continue
+        key = draw(st.sampled_from(list(cli._KEYS)))
+        node = raw.get(key)
+        if how == "value" or not isinstance(node, list) or not node:
+            raw[key] = value
+            continue
+        while True:
+            i = draw(st.integers(0, len(node) - 1))
+            if not isinstance(node[i], list) or not node[i] or node[i] is node:
+                node[i] = value
+                break
+            node = node[i]
+    return raw
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(raw=fuzzed_configs())
+    @example(raw=shipped(coeffs=[[[1e308, 25], [20, 15]], [[4, 2], [1, 2]]]))
+    @example(raw=shipped(disobedience=self_containing_list()))
+    @example(raw={**shipped(), 1: "a", "foo": "b"})
+    @example(raw=shipped(estimator="luenberger0.5"))
+    def test_config_builds_runs_and_round_trips_or_is_rejected(self, raw):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / "config.yaml"
+            path.write_text(yaml.safe_dump(raw, sort_keys=False))
+            try:
+                config = load_config(path)
+            except ConfigurationError:
+                return
+            simulate(replace(config, rounds=min(config.rounds, 20)))
+            check_obedience(config)
+            path.write_text(yaml.dump(config_to_dict(config), Dumper=cli._Dumper, sort_keys=False))
+            again = load_config(path)
+        assert config_to_dict(again) == config_to_dict(config)
+        assert config_digest(again) == config_digest(config)
+
+    @pytest.mark.parametrize("changes", [{}, {"estimator": {"luenberger": 0.0}},
+                                         {"beta_schedule": [0.5] * 5, "rounds": 5}])
+    def test_resolved_keys_are_config_keys(self, tmp_path, changes):
+        resolved = config_to_dict(load_config(write_config(tmp_path, **changes)))
+        assert set(resolved) <= set(cli._KEYS)

@@ -348,6 +348,11 @@ class TestValidation:
          {"latency": LatencyModel(states=("a", "b"), coeffs=np.full((2, 2, 2), 1e308))},
          ConfigurationError, "m_max must be finite and positive, got inf"),
         (DisobedienceMatrix.default, {"n": 1}, ConfigurationError, "need at least 2 links, got 1"),
+        # m_max = 1e308 is finite, but 5000 rounds of (k m + u) / (k + 1) can overflow k m
+        (benchmark_config, {"latency": LatencyModel(
+            states=("a", "b"), coeffs=[[[1e308, 25.0], [20.0, 15.0]], [[4.0, 2.0], [1.0, 2.0]]])},
+         ConfigurationError, "rounds=5000 and m_max=1e+308 can overflow the running-average "
+         "regret: (rounds + 1) * max(m_max, 1e+308) must be finite"),
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
         with pytest.raises(ConfigurationError) as info:
@@ -367,6 +372,14 @@ class TestValidation:
     ])
     def test_negative_zero_accepted(self, cls, kwargs):
         cls(**kwargs)
+
+    def test_large_finite_coefficient_runs(self):
+        # 1e300 leaves (rounds + 1) * m_max finite, so every round's regret is too
+        from routegame import simulate
+        config = benchmark_config(latency=LatencyModel(
+            states=("a", "b"), coeffs=[[[1e300, 25.0], [20.0, 15.0]], [[4.0, 2.0], [1.0, 2.0]]]))
+        assert config.rounds == 5000
+        assert np.logical_and.reduce(np.isfinite(simulate(config).m_next))
 
     def test_small_m_max_needs_flag(self, caplog):
         from conftest import benchmark_config
