@@ -33,8 +33,8 @@ OUT_DIR_ENV = "ROUTEGAME_OUT"
 # ``_convert`` reads each kind, and the model types check ranges and shapes.
 # ``int`` and ``float`` take a number (an integral one for ``int``), ``bool`` a
 # YAML boolean, "array" nested lists of numbers for a model type, "labels" a
-# list, "numbers" a list of numbers, and "whole" a scenario or estimator that
-# its own parser reads whole.
+# list of strings or numbers, "numbers" a list of numbers, and "whole" a
+# scenario or estimator that its own parser reads whole.
 _KEYS = {
     "states": ("labels", True), "coeffs": ("array", True), "prior": ("array", True),
     "nu": (float, True), "signal": ("array", True), "disobedience": ("array", False),
@@ -76,8 +76,10 @@ def _convert(kind, value, name: str):
 
     A YAML boolean is not a number here, though ``float(True)`` is 1.0, nor
     an entry of an array, where numpy would read it as 1.0.  A float is an
-    integer only when it is integral: ``int(2.7)`` truncates to 2.  Each
-    branch below returns the value read, or falls through to the error.
+    integer only when it is integral: ``int(2.7)`` truncates to 2.  A state
+    label must be a string or a number: ``str`` would make a label of a null
+    or a list too.  Each branch below returns the value read, raises an
+    error about an entry, or falls through to the error.
     """
     if kind is int or kind is float:
         if not isinstance(value, bool):
@@ -91,8 +93,14 @@ def _convert(kind, value, name: str):
     elif kind is bool:
         if isinstance(value, bool):
             return value
-    elif kind in ("labels", "whole"):
-        if kind == "whole" or isinstance(value, list):
+    elif kind == "whole":
+        return value
+    elif kind == "labels":
+        if isinstance(value, list):
+            for label in value:
+                if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+                    raise ConfigurationError(
+                        f"{name} entries must be strings or numbers, got {label!r}")
             return value
     elif kind in ("array", "numbers"):
         try:
@@ -123,14 +131,20 @@ def _holds_bool(value) -> bool:
 
 
 def _parse_scenario(value) -> Scenario:
+    """``baseline``, ``dynamic_nu``, ``discounted=LAMBDA`` or ``{discounted: LAMBDA}``.
+
+    A dash in the name reads as an underscore (``dynamic-nu``); the discount
+    after ``=`` is read as it is, so that ``1e-3`` and ``-0.5`` keep their dashes.
+    """
     if isinstance(value, str):
-        name = value.replace("-", "_")
-        if name == "baseline":
+        name, eq, discount = value.partition("=")
+        name = name.replace("-", "_")
+        if not eq and name == "baseline":
             return Scenario.baseline()
-        if name == "dynamic_nu":
+        if not eq and name == "dynamic_nu":
             return Scenario.dynamic_nu()
-        if name.startswith("discounted="):
-            return Scenario.discounted(_convert(float, name.split("=", 1)[1], "scenario discount"))
+        if eq and name == "discounted":
+            return Scenario.discounted(_convert(float, discount, "scenario discount"))
         raise ConfigurationError(f"unknown scenario {value!r}")
     if isinstance(value, dict) and list(value) == ["discounted"]:
         return Scenario.discounted(_convert(float, value["discounted"], "scenario discount"))

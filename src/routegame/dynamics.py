@@ -163,7 +163,7 @@ class Trajectory:
 
 def payoff_gap(pi_w: np.ndarray, matrix: np.ndarray, ell: np.ndarray) -> float:
     """Payoff difference u = pi_w . ell - pi_w . (D ell) of a row against its deviations."""
-    return float(pi_w @ ell - pi_w @ (matrix @ ell))
+    return float(pi_w.dot(ell) - pi_w.dot(matrix.dot(ell)))
 
 
 def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
@@ -259,7 +259,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
     except SolverError as exc:
         raise SolverError(f"round {k}: {exc}", last_iterate=exc.last_iterate,
                           vi_margin=exc.vi_margin, iterations=exc.iterations) from exc
-    latency = game.coeffs[:, omega, :]
+    latency = game.latency_rows[omega]
     ell = poly_rows(latency, x + y)
     u = payoff_gap(pi_w, game.rerouting, ell)
     m_next = fold_regret(m, u, k, game.discount)

@@ -145,7 +145,7 @@ def response_coeffs(game: CompiledGame, xhat: np.ndarray) -> list[np.ndarray]:
     for p in range(top):
         row = None
         for d in range(p + 1, top + 1):
-            term = mu0 @ (coeffs[d] * powers[d - p])
+            term = mu0.dot(coeffs[d] * powers[d - p])
             binomial = comb(d, p)
             if binomial != 1:
                 term *= binomial
@@ -217,7 +217,17 @@ def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
 
 
 def _vi_margin(grad: np.ndarray, y: np.ndarray, mass: float) -> float:
-    return mass * float(np.minimum.reduce(grad)) - float(grad.dot(y))
+    """The vertex VI margin ``mass * min(grad) - grad . y``, on Python floats.
+
+    The minimum is read at ``argmin``.  Doubles that compare equal have the
+    same bits, zeros of opposite sign and NaNs aside, so only a zero or NaN
+    minimum is taken from ``np.minimum.reduce``, whose pick among them is
+    ``ndarray.min``'s.
+    """
+    low = grad.item(grad.argmin())
+    if low == 0.0 or low != low:
+        low = float(np.minimum.reduce(grad))
+    return mass * low - float(grad.dot(y))
 
 
 def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
@@ -330,7 +340,7 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     full = poly_rows(coeffs, pi + y0.y)      # full[w, i] = latency on i in state w
     gap = full[:, :, None] - full[:, None, :]  # gap[w, i, j] = cost of i minus cost of j
     obedience = np.einsum("w,wi,wij->ij", mu0, pi, gap)
-    expected = mu0 @ full
+    expected = mu0.dot(full)
     nash = y0.y[:, None] * (expected[:, None] - expected[None, :])
     worst_obedience = float(np.maximum.reduce(obedience, axis=None))
     worst_nash = float(np.maximum.reduce(nash, axis=None))

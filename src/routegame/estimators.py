@@ -93,7 +93,7 @@ def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
 def observe(m_hat: float, k: int, u: float, gain: np.ndarray, ell: np.ndarray,
             ell_hat: np.ndarray) -> float:
     """Regret estimate after round k: the regret recursion plus gain . (ell - ell_hat)."""
-    return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain @ (ell - ell_hat))
+    return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain.dot(ell - ell_hat))
 
 
 def envelope_series(num_rounds: int, e1: float, beta_min: float,

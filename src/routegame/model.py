@@ -403,7 +403,7 @@ def m_max_default(model: LatencyModel) -> float:
 
 def rerouting_shift(matrix: np.ndarray, pi_w: np.ndarray) -> np.ndarray:
     """Change of the participating flows per unit of disobedience: D^T pi_w - pi_w."""
-    return matrix.T @ pi_w - pi_w
+    return matrix.T.dot(pi_w) - pi_w
 
 
 def flows(pi: np.ndarray, shift: np.ndarray, theta: float) -> np.ndarray:
@@ -428,6 +428,9 @@ class CompiledGame:
     flows have its bits.
     ``response_const`` holds the d = p terms of the best response's binomial
     expansion, the only ones that do not depend on the forecast flows.
+    ``latency_rows`` holds each state's latency coefficients as a tuple of
+    row views, the form :func:`poly_rows` indexes cheapest, so a round
+    evaluates its state's latencies without slicing the tensor.
     ``step_rank`` and ``step_mass_powers`` are the columns p and
     ``mass ** (p - 1)``, p = 1 .. degree, of the solver's Lipschitz bound.
     """
@@ -437,6 +440,7 @@ class CompiledGame:
     m_max: float
     solver_tol: float
     coeffs: np.ndarray                  # latency coefficients (degree + 1, states, links)
+    latency_rows: tuple[tuple[np.ndarray, ...], ...]  # state w: rows coeffs[d, w], d = 0 .. degree
     mu0: np.ndarray
     pi: np.ndarray                      # (states, links) recommendation rows
     shift: np.ndarray                   # row w: rerouting_shift(D, pi[w])
@@ -455,7 +459,7 @@ class CompiledGame:
         coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi
         const = np.zeros((coeffs.shape[0], coeffs.shape[2]))
         for p in range(coeffs.shape[0]):
-            const[p] += mu0 @ coeffs[p]
+            const[p] += mu0.dot(coeffs[p])
         const.setflags(write=False)  # its top row is a response row, shared by every solve
         zero = np.zeros(coeffs.shape[2])
         zero.setflags(write=False)  # returned by every solve of zero mass
@@ -468,6 +472,7 @@ class CompiledGame:
             m_max=config.m_max,
             solver_tol=config.solver_tol,
             coeffs=coeffs,
+            latency_rows=tuple(tuple(coeffs[:, w]) for w in range(coeffs.shape[1])),
             mu0=mu0,
             pi=pi,
             shift=_shifts(config.disobedience.matrix, pi),

@@ -143,8 +143,20 @@ class TestLoadConfig:
         assert _parse_scenario("dynamic-nu") == Scenario.dynamic_nu()
         assert _parse_scenario("dynamic_nu") == Scenario.dynamic_nu()
         assert _parse_scenario("discounted=0.9") == Scenario.discounted(0.9)
+        # only the name reads a dash as an underscore, not the discount after "="
+        assert _parse_scenario("discounted=1e-3") == Scenario.discounted(1e-3)
         with pytest.raises(ConfigurationError):
             _parse_scenario("weekly")
+        for value in ("dynamic-nu=0.5", "baseline=1", "discounted"):
+            with pytest.raises(ConfigurationError, match="unknown scenario"):
+                _parse_scenario(value)
+
+    @pytest.mark.parametrize("states, labels", [
+        (["omega1", 2], ("omega1", "2")),
+        ([1.5, -0.0], ("1.5", "-0.0")),
+    ])
+    def test_state_labels_are_strings_or_numbers(self, tmp_path, states, labels):
+        assert load_config(write_config(tmp_path, states=states)).latency.states == labels
 
     def test_flag_style_estimator_strings(self):
         from routegame.cli import _parse_estimator
@@ -297,6 +309,24 @@ class TestSimulateCommand:
         assert rc == 0
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
         assert resolved["scenario"] == {"discounted": 0.9}
+
+    @pytest.mark.parametrize("flag, resolved", [
+        ("discounted=1e-3", {"discounted": 0.001}),
+        ("dynamic-nu", "dynamic_nu"),
+    ])
+    def test_scenario_flag_forms(self, tmp_path, flag, resolved):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "5",
+                   "--scenario", flag, "--out", str(out)])
+        assert rc == 0
+        assert yaml.safe_load((out / "resolved_config.yaml").read_text())["scenario"] == resolved
+
+    def test_negative_discount_flag_reports_its_range(self, tmp_path, capsys):
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "5",
+                   "--scenario", "discounted=-0.5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: discounted scenario needs a discount factor in (0, 1), got -0.5\n")
 
     def test_estimator_flag_overrides_file(self, tmp_path):
         out = tmp_path / "out"
@@ -535,6 +565,12 @@ class TestCheckObedienceCommand:
         ("beta_schedule", 0.5, "beta_schedule must be a list of numbers, got 0.5"),
         ("beta_schedule", [0.5, "x"], "beta_schedule must be a number, got 'x'"),
         ("beta_schedule", [[0.5], 0.5], "beta_schedule must be a number, got [0.5]"),
+        # str() would make a label of any of these
+        ("states", [None, [1, 2]], "states entries must be strings or numbers, got None"),
+        ("states", ["omega1", [1, 2]], "states entries must be strings or numbers, got [1, 2]"),
+        ("states", ["omega1", True], "states entries must be strings or numbers, got True"),
+        ("states", [{"a": 1}, "omega2"],
+         "states entries must be strings or numbers, got {'a': 1}"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])

@@ -77,6 +77,23 @@ class TestInstantaneousRegret:
         assert u == pytest.approx(oracle, abs=1e-12)
         assert u == pytest.approx(0.0, abs=1e-12)
 
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+           zeros=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0])] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_the_matmul_form(self, n, seed, zeros):
+        """``payoff_gap`` takes its products with ``ndarray.dot``, with the bits of ``@``.
+
+        A share ``zeros`` of the row, the latencies and the matrix is -0.0.
+        """
+        rng = np.random.default_rng(seed)
+        pi_w = rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 1.0)
+        ell = rng.uniform(0.0, 50.0, size=n)
+        matrix = rng.dirichlet(np.ones(n), size=n)
+        for a, share in zip((pi_w, ell, matrix.reshape(-1)), zeros):
+            a[rng.random(a.size) < share] = -0.0
+        want = float(pi_w @ ell - pi_w @ (matrix @ ell))
+        assert np.float64(payoff_gap(pi_w, matrix, ell)).tobytes() == np.float64(want).tobytes()
+
 
 class TestRegretUpdate:
     def test_running_average_step(self):

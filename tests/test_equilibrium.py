@@ -233,6 +233,55 @@ class TestSolveSetup:
             reference_vi_margin(ref_grad, y, game.mass))
 
 
+# Gradient entries: the doubles that can compare equal with different bits
+# (zeros and NaNs of either sign), infinities, and values that tie.
+NAN = float("nan")
+MARGIN_ENTRIES = [0.0, -0.0, NAN, -NAN, np.inf, -np.inf, 1.5, -2.0, 5e-324]
+
+
+@st.composite
+def margin_inputs(draw):
+    """A gradient from ``MARGIN_ENTRIES``, a point with signed zeros, and a mass.
+
+    A game has at least 2 links.  On one-entry arrays ``ndarray.dot``
+    multiplies the two entries, with no ``ddot`` adding them to 0.0, so its
+    zero can take the sign that ``@`` drops.
+    """
+    n = draw(st.integers(2, 12))
+    grad = draw(st.lists(st.sampled_from(MARGIN_ENTRIES), min_size=n, max_size=n))
+    y = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=n, max_size=n))
+    mass = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return np.array(grad), np.array(y), mass
+
+
+class TestMarginMinimum:
+    """``_vi_margin`` reads the minimum at ``argmin`` with the bits of ``ndarray.min``."""
+
+    @pytest.mark.parametrize("grad", [
+        [0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 1.0], [1.0, -0.0, 0.0, -0.0], [3.0, 0.0, 0.0],
+        [NAN, 1.0], [1.0, -NAN], [NAN, -NAN], [-NAN, 1.0, NAN], [NAN, -np.inf],
+        [np.inf, -np.inf], [-np.inf, 1.0, -np.inf],
+        [np.inf, np.inf], [1.5, 1.5, 2.0], [2.0, -2.0, -2.0], [0.0] * 17 + [-0.0],
+        [-0.0] * 16 + [0.0] * 3,
+    ])
+    @pytest.mark.parametrize("y", ["zeros", "uniform", "last vertex"])
+    @pytest.mark.parametrize("mass", [0.0, 0.5, 1.0])
+    def test_bits_on_edge_gradients(self, grad, y, mass):
+        grad = np.array(grad)
+        n = grad.size
+        y = {"zeros": np.zeros(n), "uniform": np.full(n, mass / n),
+             "last vertex": np.eye(n)[-1] * mass}[y]
+        with np.errstate(invalid="ignore"):
+            assert bits(_vi_margin(grad, y, mass)) == bits(reference_vi_margin(grad, y, mass))
+
+    @given(margin_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_on_drawn_gradients(self, inputs):
+        grad, y, mass = inputs
+        with np.errstate(invalid="ignore"):
+            assert bits(_vi_margin(grad, y, mass)) == bits(reference_vi_margin(grad, y, mass))
+
+
 class TestFixedStart:
     @given(solver_instances())
     @settings(max_examples=50, deadline=None)
