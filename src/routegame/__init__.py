@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .dynamics import (SimulationState, Trajectory, TrajectoryRecord, calibration_score,
-                       initial_state, simulate, step, theta_of_m, write_trajectory_csv)
+                       initial_state, simulate, step, write_trajectory_csv)
 from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expected_latency,
-                          potential, project_simplex, solve_bwe, verify_vi)
+                          potential, solve_bwe, verify_vi)
 from .errors import ConfigurationError, SolverError
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec, envelope_series
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
@@ -17,6 +17,5 @@ __all__ = [
     "Signal", "SimulationState", "SmoothingSpec", "SolverError",
     "Trajectory", "TrajectoryRecord", "calibration_score", "check_obedience",
     "envelope_series", "expected_latency", "initial_state", "m_max_default", "potential",
-    "project_simplex", "simulate", "solve_bwe", "step", "theta_of_m", "verify_vi",
-    "write_trajectory_csv",
+    "simulate", "solve_bwe", "step", "verify_vi", "write_trajectory_csv",
 ]

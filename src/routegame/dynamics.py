@@ -174,14 +174,12 @@ def fold_regret(m: float, u: float, k: int, discount: float | None) -> float:
 
 
 def theta_of_m(m: float, m_max: float) -> float:
-    """Disobeying fraction implied by the aggregate regret; clamp is a safety net.
+    """Disobeying fraction implied by the aggregate regret; the clamp to 1 is a safety net.
 
-    :func:`step` computes the same expression inline, without the checks.
+    Checks nothing: ``m_max`` is the validated config's, and :func:`step`
+    raises on a regret or regret estimate that is not finite before any
+    round reads it.
     """
-    if not 0.0 < m_max < math.inf:  # NaN fails too
-        raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
-    if not math.isfinite(m):
-        raise ConfigurationError(f"regret must be finite, got {m}")
     return min(max(m, 0.0) / m_max, 1.0)
 
 
@@ -209,9 +207,9 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
     Runs the kernels on the config's compiled game and revalidates nothing:
     the config was validated when it was built, and every value here derives
     from it.  The first round compiles the game; the state carries it on.
-    The disobeying fractions are :func:`theta_of_m` without its checks, and
-    the smoothing weight is read from the schedule's values, without those
-    of :meth:`BetaSchedule.at`.  A regret that leaves [-m_max, m_max] is
+    Both disobeying fractions, the drawn one and the observer's forecast,
+    are :func:`theta_of_m`, and the smoothing weight is
+    :meth:`BetaSchedule.at`.  A regret that leaves [-m_max, m_max] is
     clamped to it with a warning, and one that is not finite raises
     :class:`ConfigurationError` naming the round; so does a non-finite regret
     estimate of the observer; the row of a round that raises is not written.
@@ -240,7 +238,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
     k, m, theta_hat, m_max = state.k, state.m, state.theta_hat, game.m_max
     i = k - 1
     omega = trajectory.omega[i]
-    theta = min(max(m, 0.0) / m_max, 1.0)
+    theta = theta_of_m(m, m_max)
 
     # Under dynamic nu the participating mass follows the last round's theta.
     # With no mass to best-respond, nothing reads the other states' rows.
@@ -270,15 +268,13 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
         m_next = min(max(m_next, -m_max), m_max)
 
     if game.gain is None:
-        schedule = game.schedule  # the weight schedule.at(k + 1) returns, unchecked
-        beta = schedule.value if schedule.values is None else schedule.values[k - 1]
-        state.theta_hat = smooth(theta_hat, theta, beta)
+        state.theta_hat = smooth(theta_hat, theta, game.schedule.at(k + 1))
     else:
         m_hat = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
         if not math.isfinite(m_hat):
             raise ConfigurationError(f"round {k}: regret estimate must be finite, got {m_hat}")
         state.m_hat = m_hat
-        state.theta_hat = min(max(m_hat, 0.0) / m_max, 1.0)
+        state.theta_hat = theta_of_m(m_hat, m_max)
 
     # abs leaves no -0.0, so the first largest entry is the value np.maximum.reduce returns.
     gap = x - pi_w

@@ -93,6 +93,10 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     so the traced peak memory of a run varied by kilobytes between processes.
     The ranks 1 .. n are one cached read-only array per n.
 
+    The solver's kernel: it checks nothing.  ``v`` is a finite float vector
+    and ``mass`` is the game's finite, nonnegative ``1 - nu``; the one outside
+    vector, :func:`solve_bwe`'s ``start``, is checked there.
+
     When no rank has u > q, as for a mass below half an ulp of the largest
     entry, rank 1 failed, so u[0] - mass rounded to u[0] and the mass is at
     most half the spacing below u[0].  The exact projection is then the
@@ -100,9 +104,6 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     entry lies at least one spacing below, farther than the mass, so it
     stays at zero.
     """
-    if not 0.0 <= mass < inf:  # NaN fails too
-        raise ConfigurationError(f"simplex mass must be finite and nonnegative, got {mass}")
-    v = np.asarray(v, dtype=float)
     if mass == 0.0:
         return np.zeros_like(v)
     u = v.copy()
@@ -179,14 +180,6 @@ def _trial_step(game: CompiledGame, rows) -> float:
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
 
 
-def _check_candidate(y: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,) or not np.all(np.isfinite(y)) or np.any(y < 0):
-        raise ConfigurationError(
-            "candidate vector must be finite and nonnegative with one entry per link")
-    return y
-
-
 def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndarray:
     """Prior-averaged per-link latency at forecast participating flows plus y.
 
@@ -194,7 +187,9 @@ def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndar
     response's binomial expansion, so :func:`verify_vi` is an independent check.
     """
     _check_unit_interval(theta, "theta")
-    y = _check_candidate(y, config.latency.n)
+    y = _link_vector(y, config.latency.n, "y")
+    if np.any(y < 0.0):
+        raise ConfigurationError("y must be nonnegative")
     coeffs, matrix = config.latency.coeffs, config.disobedience.matrix
     acc = np.zeros(config.latency.n)
     for w, pi_w in enumerate(config.signal.pi):
@@ -210,7 +205,9 @@ def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
     error.
     """
     _check_unit_interval(theta, "theta")
-    y = _check_candidate(y, config.latency.n)
+    y = _link_vector(y, config.latency.n, "y")
+    if np.any(y < 0.0):
+        raise ConfigurationError("y must be nonnegative")
     game = CompiledGame.of(config)
     rows = response_coeffs(game, flows(game.pi, game.shift, theta))
     return _potential_from_coeffs(np.array(rows), y)
@@ -236,7 +233,7 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
     The slack is linear in the comparison point, so the vertex minimum equals
     the minimum over the whole simplex; a value >= -tol certifies y.
     """
-    y = np.asarray(y, dtype=float)
+    y = _link_vector(y, config.latency.n, "y")
     mass = 1.0 - config.signal.nu
     if np.any(y < -OUTPUT_TOL) or abs(float(y.sum()) - mass) > OUTPUT_TOL:
         raise ConfigurationError(f"y is not on the simplex of mass {mass}")
@@ -283,7 +280,7 @@ def best_response(game: CompiledGame, xhat: np.ndarray | None,
     elif start_fixed:
         y = start
     else:
-        y = project_simplex(np.asarray(start, dtype=float), mass)
+        y = project_simplex(start, mass)
     tol = game.solver_tol
     y_prev, margin_prev = None, 0.0
     for it in range(MAX_ITER):

@@ -14,6 +14,7 @@ the two reproduce its ``theta_hat`` column bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .errors import ConfigurationError
 class BetaSchedule:
     """Smoothing weights beta(t) for t >= 2, either constant or an explicit sequence.
 
-    ``values[j]`` is beta(j + 2) when a custom sequence is given.
+    The weights are stored as floats; :meth:`at` is the one place that knows
+    that ``values[j]`` is beta(j + 2).
     """
 
     value: float | None = 0.5
@@ -33,6 +35,13 @@ class BetaSchedule:
     def __post_init__(self) -> None:
         if (self.value is None) == (self.values is None):
             raise ConfigurationError("beta schedule needs exactly one of a constant or a sequence")
+        try:
+            if self.values is None:
+                object.__setattr__(self, "value", float(self.value))
+            else:
+                object.__setattr__(self, "values", tuple(map(float, self.values)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"smoothing weights must be numbers: {exc}") from None
         for b in (self.values if self.values is not None else (self.value,)):
             if not 0.0 < b < 1.0:
                 raise ConfigurationError(f"smoothing weight {b} outside (0, 1)")
@@ -43,18 +52,11 @@ class BetaSchedule:
 
     @classmethod
     def from_sequence(cls, seq) -> "BetaSchedule":
-        return cls(value=None, values=tuple(float(b) for b in seq))
+        return cls(value=None, values=seq)
 
     def at(self, t: int) -> float:
-        """Weight used to form the forecast for round t (t >= 2)."""
-        if t < 2:
-            raise ConfigurationError(f"beta schedule index {t} < 2")
-        if self.value is not None:
-            return self.value
-        if t - 2 >= len(self.values):
-            raise ConfigurationError(
-                f"beta schedule has {len(self.values)} entries, round {t} requested")
-        return self.values[t - 2]
+        """Weight used to form the forecast for round t >= 2; unchecked, so a sequence must reach t."""
+        return self.value if self.values is None else self.values[t - 2]
 
     def check_bounds(self, beta_min: float, beta_max: float) -> None:
         for b in (self.values if self.values is not None else (self.value,)):
@@ -101,9 +103,21 @@ def envelope_series(num_rounds: int, e1: float, beta_min: float,
     """Envelope for k = 1..num_rounds via the exact recursions.
 
     Row k - 1 holds (lower, upper) for round k; round 1 is seeded at (e1, e1).
+    The inputs are checked here, once: an integral ``num_rounds`` >= 1, a
+    finite ``e1``, a ``beta_min`` in (0, 1) and a schedule with a weight for
+    every round 2..num_rounds.
     """
+    if isinstance(num_rounds, bool) or not isinstance(num_rounds, (int, np.integer)):
+        raise ConfigurationError(f"num_rounds must be an integer, got {type(num_rounds).__name__}")
     if num_rounds < 1:
         raise ConfigurationError("envelope series needs at least one round")
+    if not -inf < e1 < inf:  # NaN fails too
+        raise ConfigurationError(f"e1 must be finite, got {e1}")
+    if not 0.0 < beta_min < 1.0:
+        raise ConfigurationError(f"beta_min = {beta_min} outside (0, 1)")
+    if beta_schedule.values is not None and len(beta_schedule.values) < num_rounds - 1:
+        raise ConfigurationError(f"beta schedule has {len(beta_schedule.values)} entries, "
+                                 f"round {num_rounds} requested")
     lower = np.empty(num_rounds)
     upper = np.empty(num_rounds)
     lower[0] = upper[0] = e1

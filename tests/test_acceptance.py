@@ -16,9 +16,9 @@ import pytest
 
 from routegame import (BetaSchedule, Scenario, check_obedience, envelope_series,
                        expected_latency, calibration_score, potential, simulate, solve_bwe,
-                       theta_of_m, verify_vi)
+                       verify_vi)
 from routegame.cli import main
-from routegame.dynamics import fold_regret
+from routegame.dynamics import fold_regret, theta_of_m
 from routegame.estimators import observe, smooth
 
 from conftest import benchmark_config, delta_tilde, grid_best_response, random_affine_config

@@ -11,8 +11,8 @@ PUBLIC_NAMES = [
     "LatencyModel", "LuenbergerSpec", "ObedienceReport", "Prior", "Scenario", "Signal",
     "SimulationState", "SmoothingSpec", "SolverError", "Trajectory", "TrajectoryRecord",
     "calibration_score", "check_obedience", "envelope_series", "expected_latency",
-    "initial_state", "m_max_default", "potential", "project_simplex", "simulate", "solve_bwe",
-    "step", "theta_of_m", "verify_vi", "write_trajectory_csv",
+    "initial_state", "m_max_default", "potential", "simulate", "solve_bwe", "step",
+    "verify_vi", "write_trajectory_csv",
 ]
 
 

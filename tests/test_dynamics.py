@@ -21,9 +21,9 @@ import routegame.model as model
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
                        LuenbergerSpec, Prior, Scenario, Signal, SolverError, Trajectory,
                        TrajectoryRecord, calibration_score, initial_state, simulate, step,
-                       theta_of_m, write_trajectory_csv)
+                       write_trajectory_csv)
 from routegame.cli import load_config
-from routegame.dynamics import fold_regret, payoff_gap, trajectory_columns
+from routegame.dynamics import fold_regret, payoff_gap, theta_of_m, trajectory_columns
 from routegame.estimators import envelope_series
 from routegame.model import CompiledGame, _rescaled, flows, rerouting_shift
 
@@ -115,13 +115,16 @@ class TestRegretUpdate:
 
     @pytest.mark.parametrize("m, u", [(0.0, np.nan), (np.nan, 0.0), (np.inf, 0.0),
                                       (0.0, -np.inf)])
-    def test_non_finite_inputs_rejected(self, m, u):
-        # fold_regret checks nothing; step rejects what it folded in the same round
-        # (TestNonFiniteRegret), and the public theta_of_m rejects it too
+    def test_non_finite_inputs_rejected(self, monkeypatch, m, u):
+        # fold_regret checks nothing; step rejects what it folded in the same round,
+        # from a carried regret m or a payoff gap u (TestNonFiniteRegret)
+        monkeypatch.setattr(dynamics, "payoff_gap", lambda *args: u)
         for scenario in SCENARIOS.values():
-            m_next = fold_regret(m, u, 1, scenario.discount)
-            with pytest.raises(ConfigurationError, match="must be finite"):
-                theta_of_m(m_next, 51.0)
+            config = benchmark_config(rounds=1, scenario=scenario)
+            state = initial_state(config)
+            state.m = m
+            with pytest.raises(ConfigurationError, match="^round 1: regret must be finite"):
+                step(config, state, Trajectory.for_run(config))
 
 
 class TestThetaOfM:
@@ -137,15 +140,21 @@ class TestThetaOfM:
     def test_clamp_is_safety_net(self):
         assert theta_of_m(120.0, 51.0) == 1.0
 
+    # theta_of_m checks nothing: its m_max is the validated config's, and step
+    # raises on a regret that is not finite before a round reads it
+
     @pytest.mark.parametrize("m_max", [np.nan, np.inf, 0.0, -1.0])
     def test_m_max_must_be_finite_and_positive(self, m_max):
         with pytest.raises(ConfigurationError, match="m_max must be finite and positive"):
-            theta_of_m(5.0, m_max)
+            benchmark_config(m_max=m_max)
 
     @pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf])
     def test_regret_must_be_finite(self, m):
-        with pytest.raises(ConfigurationError, match="regret must be finite"):
-            theta_of_m(m, 51.0)
+        config = benchmark_config(rounds=1)
+        state = initial_state(config)
+        state.m = m
+        with pytest.raises(ConfigurationError, match="^round 1: regret must be finite"):
+            step(config, state, Trajectory.for_run(config))
 
 
 class TestStep:

@@ -11,9 +11,9 @@ from scipy.integrate import quad
 import routegame.equilibrium as equilibrium
 from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
                        Signal, SolverError, check_obedience, expected_latency, potential,
-                       project_simplex, simulate, solve_bwe, verify_vi)
+                       simulate, solve_bwe, verify_vi)
 from routegame.equilibrium import (_potential_from_coeffs, _trial_step, _vi_margin,
-                                   best_response, response_coeffs)
+                                   best_response, project_simplex, response_coeffs)
 from routegame.model import CompiledGame, flows, poly_rows
 
 from conftest import (benchmark_config, edge_vectors, grid_best_response, kernel_outcome,
@@ -400,12 +400,6 @@ class TestProjection:
     def test_zero_mass(self):
         assert np.array_equal(project_simplex(np.array([0.3, -0.2]), 0.0), np.zeros(2))
 
-    @pytest.mark.parametrize("mass", [float("nan"), float("inf"), -float("inf"), -1e-300])
-    def test_non_finite_or_negative_mass_rejected(self, mass):
-        # a NaN or infinite mass would otherwise come back as a vector of NaN or inf
-        with pytest.raises(ConfigurationError, match="simplex mass must be finite and nonnegative"):
-            project_simplex(np.array([0.3, -0.2]), mass)
-
     def test_mass_below_half_an_ulp_goes_to_the_tied_maxima(self):
         v = np.array([3.0, 1.0, 3.0, -2.0])  # half an ulp of 3.0 is 2.2e-16
         assert project_simplex(v, 1e-17).tobytes() == np.array([5e-18, 0.0, 5e-18, 0.0]).tobytes()
@@ -570,6 +564,30 @@ class TestVerifyVi:
     def test_rejects_infeasible_point(self, paper_config):
         with pytest.raises(ConfigurationError):
             verify_vi(paper_config, 0.0, np.array([0.4, 0.4]))
+
+
+LINK_VECTOR_TAKERS = {
+    "expected_latency": lambda config, y: expected_latency(config, 0.3, y),
+    "potential": lambda config, y: potential(config, 0.3, y),
+    "verify_vi": lambda config, y: verify_vi(config, 0.3, y),
+    "solve_bwe_start": lambda config, y: solve_bwe(config, 0.3, start=y),
+}
+
+
+@pytest.mark.parametrize("y", [[0.5, [0.0]], ["a", 0.5], [[0.25, 0.25]], [0.5, 0.0, 0.0],
+                               [np.nan, 0.5], [np.inf, 0.0]],
+                         ids=["ragged", "non_numeric", "two_d", "wrong_length", "nan", "inf"])
+@pytest.mark.parametrize("taker", sorted(LINK_VECTOR_TAKERS))
+def test_malformed_link_vector_rejected(paper_config, taker, y):
+    # every public function that takes a link vector checks it through model._link_vector
+    with pytest.raises(ConfigurationError, match="^(y|start) must be a "):
+        LINK_VECTOR_TAKERS[taker](paper_config, y)
+
+
+@pytest.mark.parametrize("taker", ["expected_latency", "potential"])
+def test_negative_link_vector_rejected(paper_config, taker):
+    with pytest.raises(ConfigurationError, match="^y must be nonnegative$"):
+        LINK_VECTOR_TAKERS[taker](paper_config, [-0.1, 0.6])
 
 
 def brute_force_obedience(config: GameConfig, y: np.ndarray, tol: float) -> bool:

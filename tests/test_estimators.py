@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import (BetaSchedule, ConfigurationError, Signal, SmoothingSpec, envelope_series,
-                       simulate, theta_of_m)
+                       simulate)
+from routegame.dynamics import theta_of_m
 from routegame.estimators import observe, smooth
 from routegame.model import poly_rows
 
@@ -50,13 +51,23 @@ class TestBetaSchedule:
             BetaSchedule.constant(0.3).check_bounds(0.3, 0.7)
 
     def test_custom_indexing(self):
+        # at checks nothing: a sequence too short for its rounds is rejected by
+        # GameConfig and envelope_series (TestEnvelope.test_short_schedule_rejected)
         sched = BetaSchedule.from_sequence([0.4, 0.5, 0.6])
         assert sched.at(2) == 0.4
         assert sched.at(4) == 0.6
-        with pytest.raises(ConfigurationError):
-            sched.at(5)
-        with pytest.raises(ConfigurationError):
-            sched.at(1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BetaSchedule.from_sequence(["a"]),
+        lambda: BetaSchedule.from_sequence([0.4, [0.5]]),
+        lambda: BetaSchedule.from_sequence(0.5),
+        lambda: BetaSchedule.constant("a"),
+        lambda: BetaSchedule.constant([0.5]),
+    ], ids=["sequence-string", "sequence-list", "sequence-scalar", "constant-string",
+            "constant-list"])
+    def test_non_numeric_weight_rejected(self, make):
+        with pytest.raises(ConfigurationError, match="smoothing weights must be numbers"):
+            make()
 
 
 class TestSmoothing:
@@ -232,6 +243,27 @@ class TestEnvelope:
             lo, up = e_theta_envelope(k, 0.2, 0.3, schedule)
             assert lower[k - 1] == pytest.approx(lo, rel=1e-12, abs=1e-15)
             assert upper[k - 1] == pytest.approx(up, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("num_rounds, e1, beta_min, match", [
+        (2.5, 0.2, 0.3, "num_rounds must be an integer, got float"),
+        (True, 0.2, 0.3, "num_rounds must be an integer, got bool"),
+        (0, 0.2, 0.3, "envelope series needs at least one round"),
+        (5, np.nan, 0.3, "e1 must be finite, got nan"),
+        (5, np.inf, 0.3, "e1 must be finite, got inf"),
+        (5, -np.inf, 0.3, "e1 must be finite, got -inf"),
+        (5, 0.2, np.nan, "beta_min = nan outside"),
+        (5, 0.2, 1.0, "beta_min = 1.0 outside"),
+    ])
+    def test_invalid_input_rejected(self, num_rounds, e1, beta_min, match):
+        with pytest.raises(ConfigurationError, match=match):
+            envelope_series(num_rounds, e1, beta_min, BetaSchedule.constant(0.5))
+
+    def test_short_schedule_rejected(self):
+        schedule = BetaSchedule.from_sequence([0.4, 0.5, 0.6])  # beta(2), beta(3), beta(4)
+        assert len(envelope_series(4, 0.2, 0.3, schedule)[0]) == 4
+        with pytest.raises(ConfigurationError,
+                           match="^beta schedule has 3 entries, round 5 requested$"):
+            envelope_series(5, 0.2, 0.3, schedule)
 
     def test_containment_on_simulated_run(self):
         cfg = benchmark_config(rounds=400)

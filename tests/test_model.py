@@ -353,6 +353,11 @@ class TestValidation:
             states=("a", "b"), coeffs=[[[1e308, 25.0], [20.0, 15.0]], [[4.0, 2.0], [1.0, 2.0]]])},
          ConfigurationError, "rounds=5000 and m_max=1e+308 can overflow the running-average "
          "regret: (rounds + 1) * max(m_max, 1e+308) must be finite"),
+        # so the response mass 1 - nu, which the solver's projection takes unchecked,
+        # is finite and nonnegative
+        *[(Signal, {"pi": [[0.5, 0.5]], "nu": nu}, ConfigurationError,
+           f"participation fraction nu = {nu} outside [0, 1]")
+          for nu in (NAN, INF, -INF, -0.5, 1.0000000000000002)],
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
         with pytest.raises(ConfigurationError) as info:
