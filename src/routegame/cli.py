@@ -31,23 +31,23 @@ OUT_DIR_ENV = "ROUTEGAME_OUT"
 
 # Every config key: the kind of value it takes, and whether a file must give it.
 # ``_convert`` reads each kind, and the model types check ranges and shapes.
-# ``int`` and ``float`` take a number (an integral one for ``int``), ``bool`` a
-# YAML boolean, "array" nested lists of numbers for a model type, "labels" a
-# list of strings or numbers, "numbers" a list of numbers, and "whole" a
-# scenario or estimator that its own parser reads whole.
+# ``int`` and ``float`` take a number (an integral one for ``int``), "array"
+# nested lists of numbers for a model type, "labels" a list of strings or
+# numbers, "numbers" a list of numbers, and "whole" a scenario or estimator
+# that its own parser reads whole.
 _KEYS = {
     "states": ("labels", True), "coeffs": ("array", True), "prior": ("array", True),
     "nu": (float, True), "signal": ("array", True), "disobedience": ("array", False),
-    "links": (int, False), "degree": (int, False), "strict_increase": (bool, False),
+    "links": (int, False), "degree": (int, False),
     "beta": (float, False), "beta_schedule": ("numbers", False),
     "scenario": ("whole", False), "estimator": ("whole", False),
-    "m_max": (float, False), "allow_small_m_max": (bool, False), "m_init": (float, False),
+    "m_max": (float, False), "m_init": (float, False),
     "theta_hat_init": (float, False), "beta_min": (float, False), "beta_max": (float, False),
     "solver_tol": (float, False), "rounds": (int, False), "seed": (int, False),
 }
 # The keys that GameConfig takes under their own names, read and written as they are.
-_OWN_FIELDS = ("m_max", "allow_small_m_max", "m_init", "theta_hat_init", "beta_min",
-               "beta_max", "solver_tol", "rounds", "seed")
+_OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol",
+               "rounds", "seed")
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
 # write the same documents as the pure-Python classes, several times faster.
@@ -90,9 +90,6 @@ def _convert(kind, value, name: str):
             else:
                 if kind is float or not isinstance(value, float) or value.is_integer():
                     return converted
-    elif kind is bool:
-        if isinstance(value, bool):
-            return value
     elif kind == "whole":
         return value
     elif kind == "labels":
@@ -113,8 +110,8 @@ def _convert(kind, value, name: str):
             return value
         if isinstance(value, list):
             return [_convert(float, v, name) for v in value]
-    noun = {int: "an integer", float: "a number", bool: "true or false",
-            "labels": "a list of labels", "numbers": "a list of numbers"}[kind]
+    noun = {int: "an integer", float: "a number", "labels": "a list of labels",
+            "numbers": "a list of numbers"}[kind]
     raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
@@ -177,8 +174,7 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
     values = {key: _convert(_KEYS[key][0], value, f"{path}: {key}") for key, value in raw.items()}
 
-    latency = LatencyModel(states=values["states"], coeffs=values["coeffs"],
-                           require_strict_increase=values.get("strict_increase", False))
+    latency = LatencyModel(states=values["states"], coeffs=values["coeffs"])
     for key, described in (("links", latency.n), ("degree", latency.degree)):
         if key in values and values[key] != described:
             raise ConfigurationError(
@@ -243,7 +239,6 @@ def config_to_dict(config: GameConfig) -> dict:
         **beta_keys,
         "scenario": scenario,
         "estimator": estimator,
-        "strict_increase": config.latency.require_strict_increase,
         **{key: getattr(config, key) for key in _OWN_FIELDS},
     }
 

@@ -209,7 +209,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
     from it.  The first round compiles the game; the state carries it on.
     Both disobeying fractions, the drawn one and the observer's forecast,
     are :func:`theta_of_m`, and the smoothing weight is
-    :meth:`BetaSchedule.at`.  A regret that leaves [-m_max, m_max] is
+    :meth:`BetaSchedule._at`.  A regret that leaves [-m_max, m_max] is
     clamped to it with a warning, and one that is not finite raises
     :class:`ConfigurationError` naming the round; so does a non-finite regret
     estimate of the observer; the row of a round that raises is not written.
@@ -268,7 +268,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
         m_next = min(max(m_next, -m_max), m_max)
 
     if game.gain is None:
-        state.theta_hat = smooth(theta_hat, theta, game.schedule.at(k + 1))
+        state.theta_hat = smooth(theta_hat, theta, game.schedule._at(k + 1))
     else:
         m_hat = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
         if not math.isfinite(m_hat):

@@ -17,7 +17,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, _between
 from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _link_vector,
                     flows, poly_rows, rerouting_shift)
 
@@ -94,8 +94,9 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     The ranks 1 .. n are one cached read-only array per n.
 
     The solver's kernel: it checks nothing.  ``v`` is a finite float vector
-    and ``mass`` is the game's finite, nonnegative ``1 - nu``; the one outside
-    vector, :func:`solve_bwe`'s ``start``, is checked there.
+    and ``mass`` is the game's finite, positive ``1 - nu``, since
+    :func:`best_response` returns before projecting at mass 0; the one
+    outside vector, :func:`solve_bwe`'s ``start``, is checked there.
 
     When no rank has u > q, as for a mass below half an ulp of the largest
     entry, rank 1 failed, so u[0] - mass rounded to u[0] and the mass is at
@@ -104,8 +105,6 @@ def project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     entry lies at least one spacing below, farther than the mass, so it
     stays at zero.
     """
-    if mass == 0.0:
-        return np.zeros_like(v)
     u = v.copy()
     u.sort()
     u = u[::-1]
@@ -173,8 +172,6 @@ def _trial_step(game: CompiledGame, rows) -> float:
     The columns p and mass**(p - 1) are compiled with the game; the rows of
     degree >= 1 are stacked here, once a solve iterates.
     """
-    if len(rows) < 2:
-        return 1.0
     bound = game.step_rank * np.abs(np.array(rows[1:])) * game.step_mass_powers
     lip = float(np.maximum.reduce(np.add.reduce(bound, axis=0)))
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
@@ -330,7 +327,7 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     """
     if tol is None:
         tol = config.solver_tol
-    if not 0.0 <= tol < inf:  # NaN fails too
+    if not (_between(0.0, tol, inf, "tol") and tol < inf):  # NaN fails too
         raise ConfigurationError(f"tol must be finite and nonnegative, got {tol}")
     y0 = solve_bwe(config, 0.0)
     coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi

@@ -18,14 +18,14 @@ from math import inf
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _between
 
 
 @dataclass(frozen=True)
 class BetaSchedule:
     """Smoothing weights beta(t) for t >= 2, either constant or an explicit sequence.
 
-    The weights are stored as floats; :meth:`at` is the one place that knows
+    The weights are stored as floats; :meth:`_at` is the one place that knows
     that ``values[j]`` is beta(j + 2).
     """
 
@@ -54,8 +54,13 @@ class BetaSchedule:
     def from_sequence(cls, seq) -> "BetaSchedule":
         return cls(value=None, values=seq)
 
-    def at(self, t: int) -> float:
-        """Weight used to form the forecast for round t >= 2; unchecked, so a sequence must reach t."""
+    def _at(self, t: int) -> float:
+        """Weight used to form the forecast for round t >= 2.
+
+        Unchecked, so internal: its callers, :func:`~routegame.dynamics.step`
+        and :func:`envelope_series`, read only rounds 2 .. the length their
+        config or entry check has ensured the sequence reaches.
+        """
         return self.value if self.values is None else self.values[t - 2]
 
     def check_bounds(self, beta_min: float, beta_max: float) -> None:
@@ -88,7 +93,7 @@ class LuenbergerSpec:
 
 
 def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
-    """Next forecast beta * theta_observed + (1 - beta) * theta_hat, with beta = ``at(k + 1)``."""
+    """Next forecast beta * theta_observed + (1 - beta) * theta_hat, beta round k + 1's weight."""
     return beta * theta_observed + (1.0 - beta) * theta_hat
 
 
@@ -111,9 +116,9 @@ def envelope_series(num_rounds: int, e1: float, beta_min: float,
         raise ConfigurationError(f"num_rounds must be an integer, got {type(num_rounds).__name__}")
     if num_rounds < 1:
         raise ConfigurationError("envelope series needs at least one round")
-    if not -inf < e1 < inf:  # NaN fails too
+    if not _between(-inf, e1, inf, "e1", closed=False):  # NaN fails too
         raise ConfigurationError(f"e1 must be finite, got {e1}")
-    if not 0.0 < beta_min < 1.0:
+    if not _between(0.0, beta_min, 1.0, "beta_min", closed=False):
         raise ConfigurationError(f"beta_min = {beta_min} outside (0, 1)")
     if beta_schedule.values is not None and len(beta_schedule.values) < num_rounds - 1:
         raise ConfigurationError(f"beta schedule has {len(beta_schedule.values)} entries, "
@@ -124,7 +129,7 @@ def envelope_series(num_rounds: int, e1: float, beta_min: float,
     prod = 1.0
     dt = 0.0
     for k in range(2, num_rounds + 1):
-        prod *= 1.0 - beta_schedule.at(k)
+        prod *= 1.0 - beta_schedule._at(k)
         dt = (1.0 - beta_min) * dt + 1.0 / k
         lower[k - 1] = prod * e1 - 2.0 * dt
         upper[k - 1] = prod * e1 + 2.0 * dt

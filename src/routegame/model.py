@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SignalRowError
+from .errors import ConfigurationError, SignalRowError, _between
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
 
 logger = logging.getLogger(__name__)
@@ -73,7 +73,7 @@ def _row_sums(a: np.ndarray, top: float) -> np.ndarray:
 
 
 def _check_unit_interval(x: float, name: str) -> None:
-    if not 0.0 <= x <= 1.0:
+    if not _between(0.0, x, 1.0, name):
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
 
 
@@ -90,15 +90,14 @@ class LatencyModel:
     """Per-state polynomial link latencies.
 
     ``coeffs[d, w, i]`` multiplies ``flow**d`` on link i in state w.  The
-    constant and linear coefficients must be nonnegative.  When
-    ``require_strict_increase`` is set, every (state, link) pair must have a
-    positive coefficient of degree >= 1; the best-response map is only unique
-    under that condition.
+    constant and linear coefficients must be nonnegative, and every (state,
+    link) pair must have a positive coefficient of degree >= 1, so the degree
+    is at least 1: the best-response map is only unique when every latency
+    strictly increases.
     """
 
     states: tuple[str, ...]
     coeffs: np.ndarray
-    require_strict_increase: bool = False
 
     def __post_init__(self) -> None:
         coeffs = _readonly(self.coeffs, "latency coefficients")
@@ -110,8 +109,9 @@ class LatencyModel:
         dplus1, s, n = coeffs.shape
         if n < 2:
             raise ConfigurationError(f"need at least 2 links, got {n}")
-        if s < 1 or dplus1 < 1:
-            raise ConfigurationError("need at least one state and degree >= 0")
+        if s < 1 or dplus1 < 2:
+            raise ConfigurationError(
+                f"need at least one state and degree >= 1, got shape {coeffs.shape}")
         if len(self.states) != s:
             raise ConfigurationError(
                 f"{len(self.states)} state labels for {s} coefficient rows")
@@ -121,11 +121,15 @@ class LatencyModel:
             raise ConfigurationError("latency coefficients must be finite")
         if np.logical_or.reduce(coeffs[0] < 0, axis=None):
             raise ConfigurationError("constant latency coefficients must be nonnegative")
-        if dplus1 >= 2 and np.logical_or.reduce(coeffs[1] < 0, axis=None):
+        lowest_linear = np.minimum.reduce(coeffs[1], axis=None)
+        if lowest_linear < 0.0:
             raise ConfigurationError("linear latency coefficients must be nonnegative")
-        if self.require_strict_increase and not self.is_strictly_increasing:
+        # a positive linear row settles the rule without the maximum over degrees
+        if not (lowest_linear > 0.0
+                or np.minimum.reduce(np.maximum.reduce(coeffs[1:], axis=0), axis=None) > 0.0):
             raise ConfigurationError(
-                "strict-increase requested but some (state, link) has no positive coefficient of degree >= 1")
+                "latencies must strictly increase: some (state, link) has no positive "
+                "coefficient of degree >= 1")
 
     @property
     def n(self) -> int:
@@ -138,13 +142,6 @@ class LatencyModel:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
-
-    @property
-    def is_strictly_increasing(self) -> bool:
-        if self.degree == 0:
-            return False
-        positive = np.logical_or.reduce(self.coeffs[1:] > 0, axis=0)
-        return bool(np.logical_and.reduce(positive, axis=None))
 
 
 @dataclass(frozen=True)
@@ -249,7 +246,7 @@ class Scenario:
         if self.kind not in ("baseline", "discounted", "dynamic_nu"):
             raise ConfigurationError(f"unknown scenario {self.kind!r}")
         if self.kind == "discounted":
-            if self.discount is None or not 0.0 < self.discount < 1.0:
+            if not _between(0.0, self.discount, 1.0, "scenario discount", closed=False):
                 raise ConfigurationError(
                     f"discounted scenario needs a discount factor in (0, 1), got {self.discount}")
         elif self.discount is not None:
@@ -274,8 +271,7 @@ class GameConfig:
 
     ``m_max`` defaults to :func:`m_max_default` of the latency model, the
     smallest normalizer guaranteed to keep the disobedience fraction in
-    [0, 1]; smaller values are rejected unless ``allow_small_m_max`` is set,
-    in which case a warning is logged.
+    [0, 1]; a value more than ``INPUT_TOL`` below it is rejected.
     """
 
     latency: LatencyModel
@@ -292,7 +288,6 @@ class GameConfig:
     solver_tol: float = 1e-8
     rounds: int = 5000
     seed: int = 0
-    allow_small_m_max: bool = False
 
     def __post_init__(self) -> None:
         lat = self.latency
@@ -314,17 +309,15 @@ class GameConfig:
         if not 0.0 < m_max < math.inf:  # NaN fails too
             raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
         if m_max < default_cap - INPUT_TOL:
-            if not self.allow_small_m_max:
-                raise ConfigurationError(
-                    f"m_max={m_max} below the safe default {default_cap}; "
-                    "set allow_small_m_max to override")
-            logger.warning("m_max=%s below the safe default %s; disobedience fraction may clip",
-                           m_max, default_cap)
+            raise ConfigurationError(
+                f"m_max={m_max} below the safe default {default_cap}: it must bound the regret")
         object.__setattr__(self, "m_max", m_max)
-        if not -m_max <= self.m_init <= m_max:
+        if not _between(-m_max, self.m_init, m_max, "m_init"):
             raise ConfigurationError(f"m_init={self.m_init} outside [-{m_max}, {m_max}]")
         _check_unit_interval(self.theta_hat_init, "theta_hat_init")
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
+        if not (_between(0.0, self.beta_min, 1.0, "beta_min", closed=False)
+                and _between(0.0, self.beta_max, 1.0, "beta_max", closed=False)
+                and self.beta_min <= self.beta_max):
             raise ConfigurationError(
                 f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
         for name in ("rounds", "seed"):  # a bool is an int, but not a count or a seed
@@ -362,7 +355,7 @@ class GameConfig:
                 logger.warning("nonzero observer gain: stability unanalyzed")
         else:
             raise ConfigurationError(f"unknown estimator spec {type(self.estimator).__name__}")
-        if not 0.0 < self.solver_tol < math.inf:  # NaN fails too
+        if not _between(0.0, self.solver_tol, math.inf, "solver_tol", closed=False):
             raise ConfigurationError(f"solver_tol must be finite and positive, got {self.solver_tol}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
@@ -375,13 +368,12 @@ def poly_rows(coeffs, f: np.ndarray) -> np.ndarray:
     and the best response's gradient.  The first multiply makes the result a
     new array and every later add and multiply writes into it, in the same
     order as ``out = out * f + coeffs[d]``, so the bits are those of the
-    out-of-place rule with one allocation.  Only a constant polynomial needs
-    a copy.  ``coeffs`` is an array or any sequence of its rows; the solver
-    passes the list of rows that :func:`~routegame.equilibrium.response_coeffs`
-    builds, so no iteration indexes an array.
+    out-of-place rule with one allocation.  ``coeffs`` is an array or any
+    sequence of its rows, at least two of them, as every validated
+    :class:`LatencyModel` has degree >= 1; the solver passes the list of rows
+    that :func:`~routegame.equilibrium.response_coeffs` builds, so no
+    iteration indexes an array.
     """
-    if len(coeffs) == 1:
-        return np.array(coeffs[0])
     out = coeffs[-1] * f
     for d in range(len(coeffs) - 2, 0, -1):
         out += coeffs[d]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
-                       Signal)
+from routegame import (BetaSchedule, ConfigurationError, DisobedienceMatrix, GameConfig,
+                       LatencyModel, Prior, Signal)
 from routegame.model import CompiledGame, flows
 
 # Affine two-link, two-state benchmark network used throughout: constants
@@ -16,9 +16,8 @@ from routegame.model import CompiledGame, flows
 AFFINE_COEFFS = [[[5.0, 25.0], [20.0, 15.0]], [[4.0, 2.0], [1.0, 2.0]]]
 
 
-def affine_latency(require_strict_increase: bool = False) -> LatencyModel:
-    return LatencyModel(states=("omega1", "omega2"), coeffs=AFFINE_COEFFS,
-                        require_strict_increase=require_strict_increase)
+def affine_latency() -> LatencyModel:
+    return LatencyModel(states=("omega1", "omega2"), coeffs=AFFINE_COEFFS)
 
 
 def revealing_signal(nu: float) -> Signal:
@@ -107,8 +106,7 @@ def random_affine_config(rng: np.random.Generator, n: int, s: int = 2,
     alpha0 = rng.uniform(0.0, 10.0, size=(s, n))
     alpha1 = rng.uniform(1.0, 4.0, size=(s, n))
     latency = LatencyModel(states=tuple(f"s{w}" for w in range(s)),
-                           coeffs=np.stack([alpha0, alpha1]),
-                           require_strict_increase=True)
+                           coeffs=np.stack([alpha0, alpha1]))
     mu0 = rng.dirichlet(np.ones(s))
     mu0 = mu0 / mu0.sum()
     if nu is None:
@@ -141,6 +139,15 @@ def delta_tilde(k: int, beta_min: float) -> float:
     return float(np.sum((1.0 - beta_min) ** (k - t) / t))
 
 
+def beta_weight(schedule: BetaSchedule, t: int) -> float:
+    """The smoothing weight of round t >= 2, read from the schedule's stored weights.
+
+    The reference for the weight that ``step`` and ``envelope_series`` read
+    through the schedule's internal accessor.
+    """
+    return schedule.value if schedule.values is None else schedule.values[t - 2]
+
+
 def reference_project_simplex(v: np.ndarray, mass: float) -> np.ndarray:
     """Sort-and-threshold projection onto {y >= 0, sum(y) = mass}, written out of place.
 
@@ -171,7 +178,7 @@ def reference_poly_rows(coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
     out = coeffs[-1]
     for d in range(coeffs.shape[0] - 2, -1, -1):
         out = out * f + coeffs[d]
-    return out if coeffs.shape[0] > 1 else np.array(out)
+    return out
 
 
 @st.composite
@@ -223,8 +230,6 @@ def reference_trial_step(coeffs: np.ndarray, mass: float) -> float:
     The byte reference for ``equilibrium._trial_step``, which reads both
     columns from the compiled game.
     """
-    if coeffs.shape[0] < 2:
-        return 1.0
     p = np.arange(1, coeffs.shape[0], dtype=float)[:, None]
     lip = float((p * np.abs(coeffs[1:]) * mass ** (p - 1.0)).sum(axis=0).max())
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)

@@ -21,7 +21,8 @@ from routegame.cli import main
 from routegame.dynamics import fold_regret, theta_of_m
 from routegame.estimators import observe, smooth
 
-from conftest import benchmark_config, delta_tilde, grid_best_response, random_affine_config
+from conftest import (beta_weight, benchmark_config, delta_tilde, grid_best_response,
+                      random_affine_config)
 
 SEEDS = list(range(10))
 ROUNDS = 5000
@@ -120,7 +121,7 @@ def test_criterion_04_fixed_m_forecast_decay():
         theta_hat = float(rng.uniform(0, 1))
         e1 = abs(theta - theta_hat)
         for k in range(1, 1000):
-            theta_hat = smooth(theta_hat, theta, schedule.at(k + 1))
+            theta_hat = smooth(theta_hat, theta, beta_weight(schedule, k + 1))
             err = abs(theta - theta_hat)
             lo = (1 - beta_max) ** k * e1 - 1e-15
             hi = (1 - beta_min) ** k * e1 + 1e-15

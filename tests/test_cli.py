@@ -171,22 +171,6 @@ class TestLoadConfig:
             with pytest.raises(ConfigurationError, match="unknown estimator"):
                 _parse_estimator(value, 2)
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_boolean_keys_take_yaml_booleans(self, tmp_path, value):
-        path = write_config(tmp_path, strict_increase=value, allow_small_m_max=value, m_max=60)
-        cfg = load_config(path)
-        assert cfg.latency.require_strict_increase is value
-        assert cfg.allow_small_m_max is value
-
-    @pytest.mark.parametrize("value", ["false", "no", [0], {"a": 1}])
-    def test_small_m_max_needs_a_true_override(self, tmp_path, value):
-        # bool() of each of these is true
-        path = write_config(tmp_path, m_max=10, m_init=0.0, allow_small_m_max=value)
-        with pytest.raises(ConfigurationError, match="allow_small_m_max must be true or false"):
-            load_config(path)
-        path = write_config(tmp_path, m_max=10, m_init=0.0, allow_small_m_max=True)
-        assert load_config(path).m_max == 10.0
-
     def test_beta_schedule_must_cover_rounds(self, tmp_path):
         path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=10)
         with pytest.raises(ConfigurationError, match="beta schedule has 3 entries"):
@@ -484,7 +468,7 @@ class TestCheckObedienceCommand:
     def test_worse_link_signal_exit_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
-            coeffs=[[[1.0, 2.0], [1.0, 2.0]]],
+            coeffs=[[[1.0, 2.0], [1.0, 2.0]], [[0.001, 0.001], [0.001, 0.001]]],
             signal=[[0.0, 0.5], [0.0, 0.5]],
             m_init=0.0,
             degree=None,
@@ -530,6 +514,12 @@ class TestCheckObedienceCommand:
         # safe_dump writes &id001 [*id001]; the walk must not escape as a RecursionError
         ("disobedience", self_containing_list(),
          "disobedience must be an array of numbers, got lists nested too deep"),
+        # every latency strictly increases: a flat link, or a constant latency of degree 0
+        ("coeffs", [[[5, 25], [20, 15]], [[4, 0], [1, 2]]],
+         "error: latencies must strictly increase: some (state, link) has no positive "
+         "coefficient of degree >= 1"),
+        ("coeffs", [[[5, 25], [20, 15]]],
+         "error: need at least one state and degree >= 1, got shape (1, 2, 2)"),
     ])
     def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
         rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
@@ -545,11 +535,12 @@ class TestCheckObedienceCommand:
         ("states", 5, "states must be a list of labels, got 5"),
         ("estimator", "luenberger=a", "estimator gain must be a number, got 'a'"),
         ("scenario", "discounted=a", "scenario discount must be a number, got 'a'"),
-        ("allow_small_m_max", "false", "allow_small_m_max must be true or false, got 'false'"),
-        ("allow_small_m_max", 1, "allow_small_m_max must be true or false, got 1"),
-        ("strict_increase", "no", "strict_increase must be true or false, got 'no'"),
-        ("strict_increase", [0], "strict_increase must be true or false, got [0]"),
-        ("strict_increase", {"a": 1}, "strict_increase must be true or false, got {'a': 1}"),
+        # the two keys that took a YAML boolean are gone: their rules always hold
+        ("allow_small_m_max", True, "unknown config keys ['allow_small_m_max']"),
+        ("allow_small_m_max", False, "unknown config keys ['allow_small_m_max']"),
+        ("strict_increase", True, "unknown config keys ['strict_increase']"),
+        ("strict_increase", False, "unknown config keys ['strict_increase']"),
+        ("m_max", 10, "m_max=10.0 below the safe default 51.0: it must bound the regret"),
         # float(True) is 1.0, but a YAML boolean is not a number
         ("rounds", True, "rounds must be an integer, got True"),
         ("seed", True, "seed must be an integer, got True"),

@@ -36,15 +36,15 @@ SWAP = DisobedienceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def equal_constant_config(**overrides) -> GameConfig:
-    """Both links identical and flow-independent: every payoff difference vanishes."""
+    """Both links 3 + f, recommended equally: flows and latencies stay equal on the two
+    links, so every payoff difference vanishes.  m_max is the safe default 8."""
     kwargs = dict(
-        latency=LatencyModel(states=("only",), coeffs=[[[3.0, 3.0]]]),
+        latency=LatencyModel(states=("only",), coeffs=[[[3.0, 3.0]], [[1.0, 1.0]]]),
         prior=Prior([1.0]),
-        signal=Signal(pi=[[0.3, 0.2]], nu=0.5),
+        signal=Signal(pi=[[0.25, 0.25]], nu=0.5),
         disobedience=SWAP,
-        m_max=6.0,
         m_init=0.5,
-        theta_hat_init=0.5 / 6.0,
+        theta_hat_init=0.5 / 8.0,
     )
     kwargs.update(overrides)
     return GameConfig(**kwargs)
@@ -155,6 +155,21 @@ class TestThetaOfM:
         state.m = m
         with pytest.raises(ConfigurationError, match="^round 1: regret must be finite"):
             step(config, state, Trajectory.for_run(config))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_regret_outside_m_max_is_clamped(self, sign, caplog):
+        # m_max bounds the regret of every validated config, so the clamp in step is a
+        # safety net; a regret of 4 m_max, set by hand, folds to about 2 m_max in round 1
+        config = benchmark_config(rounds=1)
+        state, trajectory = initial_state(config), Trajectory.for_run(config)
+        state.m = sign * 4.0 * config.m_max
+        with caplog.at_level(logging.WARNING, logger="routegame.dynamics"):
+            step(config, state, trajectory)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("round 1: regret ")
+        assert f"clamped to [-{config.m_max}, {config.m_max}]" in messages[0]
+        assert trajectory.m_next[0] == state.m == sign * config.m_max
+        assert trajectory.theta[0] == (1.0 if sign > 0 else 0.0)
 
 
 class TestStep:

@@ -185,8 +185,8 @@ def bits(x: float) -> bytes:
 
 @st.composite
 def expansion_instances(draw):
-    """Game of degree 0-4, forecast and simplex point; terms of degree >= 2 may be < 0 or -0.0."""
-    n, s, degree = draw(st.integers(2, 64)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    """Game of degree 1-4, forecast and simplex point; terms of degree >= 2 may be < 0 or -0.0."""
+    n, s, degree = draw(st.integers(2, 64)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = [rng.uniform(0.0, 10.0, size=(s, n)), rng.uniform(0.0, 4.0, size=(s, n))][:degree + 1]
     for _ in range(degree - 1):
@@ -639,10 +639,10 @@ class TestObedience:
         assert np.abs(report.nash_slacks).max() == 0.0
 
     def test_worse_link_signal_rejected(self):
-        # constant latencies with a strict ordering; recommending the slow
-        # link is disobeyed in expectation
+        # latencies 1 + f / 1024 and 2 + f / 1024, strictly ordered on the unit simplex;
+        # recommending the slow link is disobeyed in expectation
         cfg = GameConfig(
-            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]]]),
+            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]], [[2.0**-10, 2.0**-10]]]),
             prior=Prior([1.0]),
             signal=Signal(pi=[[0.0, 0.5]], nu=0.5),
             disobedience=DisobedienceMatrix.default(2))

@@ -13,7 +13,7 @@ from routegame.dynamics import theta_of_m
 from routegame.estimators import observe, smooth
 from routegame.model import poly_rows
 
-from conftest import benchmark_config, delta_tilde
+from conftest import beta_weight, benchmark_config, delta_tilde
 from test_dynamics import skip_games
 
 
@@ -28,7 +28,7 @@ def e_theta_envelope(k: int, e1: float, beta_min: float,
         raise ConfigurationError(f"envelope defined for k >= 2, got {k}")
     prod = 1.0
     for t in range(2, k + 1):
-        prod *= 1.0 - beta_schedule.at(t)
+        prod *= 1.0 - beta_weight(beta_schedule, t)
     center = prod * e1
     width = 2.0 * delta_tilde(k, beta_min)
     return center - width, center + width
@@ -51,11 +51,13 @@ class TestBetaSchedule:
             BetaSchedule.constant(0.3).check_bounds(0.3, 0.7)
 
     def test_custom_indexing(self):
-        # at checks nothing: a sequence too short for its rounds is rejected by
-        # GameConfig and envelope_series (TestEnvelope.test_short_schedule_rejected)
+        # the first weight is beta(2): the envelope's center (1 - beta(2)) ... (1 - beta(k)) e1;
+        # a sequence too short for its rounds is rejected by GameConfig and envelope_series
+        # (TestEnvelope.test_short_schedule_rejected)
         sched = BetaSchedule.from_sequence([0.4, 0.5, 0.6])
-        assert sched.at(2) == 0.4
-        assert sched.at(4) == 0.6
+        lower, upper = envelope_series(4, 1.0, 0.3, sched)
+        assert (lower + upper) / 2.0 == pytest.approx([1.0, 0.6, 0.6 * 0.5, 0.6 * 0.5 * 0.4],
+                                                      abs=1e-15)
 
     @pytest.mark.parametrize("make", [
         lambda: BetaSchedule.from_sequence(["a"]),
@@ -94,7 +96,7 @@ class TestSmoothing:
         theta_hat = 0.05
         e1 = abs(target - theta_hat)
         for k in range(1, 300):
-            theta_hat = smooth(theta_hat, target, schedule.at(k + 1))
+            theta_hat = smooth(theta_hat, target, beta_weight(schedule, k + 1))
             err = abs(target - theta_hat)
             assert (1 - beta_max) ** k * e1 - 1e-15 <= err <= (1 - beta_min) ** k * e1 + 1e-15
 
@@ -190,7 +192,7 @@ class TestReplay:
         m_hat = config.theta_hat_init * config.m_max
         for rec in trajectory[:-1]:
             if isinstance(config.estimator, SmoothingSpec):
-                beta = config.estimator.schedule.at(rec.k + 1)
+                beta = beta_weight(config.estimator.schedule, rec.k + 1)
                 theta_hat.append(smooth(theta_hat[-1], rec.theta, beta))
             else:
                 ell_hat = poly_rows(config.latency.coeffs[:, rec.omega, :], rec.x_hat + rec.y)

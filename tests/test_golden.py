@@ -73,8 +73,7 @@ def cubic_config(seed: int = 8, n: int = 8, s: int = 2) -> GameConfig:
     for i in range(n):
         row = rng.dirichlet(np.ones(n - 1))
         P[i, [j for j in range(n) if j != i]] = row / row.sum()
-    latency = LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs,
-                           require_strict_increase=True)
+    latency = LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs)
     return GameConfig(latency=latency, prior=Prior(mu0), signal=Signal(pi=pi, nu=nu),
                       disobedience=DisobedienceMatrix(P), m_init=0.3 * float(coeffs.max(axis=1).sum()),
                       theta_hat_init=0.25, rounds=ROUNDS, seed=seed)

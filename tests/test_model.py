@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
-                       LuenbergerSpec, Prior, Scenario, Signal, expected_latency, m_max_default)
+from routegame import (BetaSchedule, ConfigurationError, DisobedienceMatrix, GameConfig,
+                       LatencyModel, LuenbergerSpec, Prior, Scenario, Signal, check_obedience,
+                       envelope_series, expected_latency, m_max_default, potential, solve_bwe,
+                       verify_vi)
 from routegame.dynamics import payoff_gap
 from routegame.errors import SignalRowError
 from routegame.model import CompiledGame, flows, poly_rows, rerouting_shift
@@ -99,7 +102,7 @@ class TestEvalLatency:
 
 
 class TestPolyRows:
-    @pytest.mark.parametrize("degree", [0, 1, 3])
+    @pytest.mark.parametrize("degree", [1, 3])
     def test_horner_bits_in_a_new_array(self, degree):
         rng = np.random.default_rng(degree)
         coeffs = rng.uniform(-2.0, 2.0, size=(degree + 1, 2, 5))
@@ -114,7 +117,7 @@ class TestPolyRows:
             assert got.tobytes() == want.tobytes()
             assert got.flags.writeable and not np.shares_memory(got, coeffs)
 
-    @given(st.integers(0, 4), st.integers(1, 3), edge_vectors(max_size=256),
+    @given(st.integers(1, 4), st.integers(1, 3), edge_vectors(max_size=256),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_bytes_match_out_of_place_reference(self, degree, states, f, seed):
@@ -129,13 +132,15 @@ class TestPolyRows:
 
 
 class TestMMaxDefault:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(2, 300))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4), st.integers(2, 300))
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_reduction_wrappers(self, seed, dplus1, s, n):
         rng = np.random.default_rng(seed)
         coeffs = 10.0 ** rng.uniform(-300, 300, size=(dplus1, s, n))
         coeffs[2:] *= rng.choice([-1.0, 1.0], size=coeffs[2:].shape)  # only d >= 2 may be < 0
         coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        flat = ~np.logical_or.reduce(coeffs[1:] > 0.0, axis=0)  # the rule: a positive d >= 1 term
+        coeffs[1][flat] = 10.0 ** rng.uniform(-300, 300, size=int(flat.sum()))
         model = LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs)
         want = float(model.coeffs.max(axis=1).sum())  # the expression as first written
         assert m_max_default(model).hex() == want.hex()
@@ -144,16 +149,19 @@ class TestMMaxDefault:
         assert m_max_default(affine_latency()) == pytest.approx(51.0, abs=1e-12)
 
     def test_single_active_link(self):
-        # second link all-zero keeps the two-link minimum while matching the
-        # one-link arithmetic 3 + 2 = 5
-        model = LatencyModel(states=("only",), coeffs=[[[3.0, 0.0]], [[2.0, 0.0]]])
-        assert m_max_default(model) == pytest.approx(5.0, abs=1e-15)
+        # every latency strictly increases, so the second link keeps a slope of 2**-40,
+        # the only term it adds to the one-link arithmetic 3 + 2 = 5
+        model = LatencyModel(states=("only",), coeffs=[[[3.0, 0.0]], [[2.0, 2.0**-40]]])
+        assert m_max_default(model) == 5.0 + 2.0**-40
 
     def test_all_zero_rejected_downstream(self):
-        model = LatencyModel(states=("a",), coeffs=[[[0.0, 0.0]]])
+        # an all-zero model is not strictly increasing; a default that sums to zero,
+        # here with latencies f - f**2, is rejected by GameConfig
+        with pytest.raises(ConfigurationError, match="latencies must strictly increase"):
+            LatencyModel(states=("a",), coeffs=[[[0.0, 0.0]], [[0.0, 0.0]]])
+        model = LatencyModel(states=("a",), coeffs=[[[0.0, 0.0]], [[1.0, 1.0]], [[-1.0, -1.0]]])
         assert m_max_default(model) == 0.0
-        from routegame import GameConfig
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="m_max must be finite and positive, got 0.0"):
             GameConfig(latency=model, prior=Prior([1.0]),
                        signal=Signal(pi=[[0.5, 0.5]], nu=1.0),
                        disobedience=DisobedienceMatrix.default(2))
@@ -163,7 +171,7 @@ class TestMMaxDefault:
     def test_bounds_instantaneous_regret_at_unit_mass(self, seed):
         rng = np.random.default_rng(seed)
         n, s = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        coeffs = rng.uniform(0.0, 5.0, size=(int(rng.integers(1, 4)), s, n))
+        coeffs = rng.uniform(0.0, 5.0, size=(int(rng.integers(2, 5)), s, n))
         model = LatencyModel(states=tuple(f"s{w}" for w in range(s)), coeffs=coeffs)
         cap = m_max_default(model)
         nu = float(rng.uniform(0.0, 1.0))
@@ -194,7 +202,7 @@ class TestFlowMaps:
         # the round loop's forecast flows come from the compiled game's rows
         sig = Signal(pi=[[0.5, 0.0]], nu=0.5)
         game = CompiledGame.of(GameConfig(
-            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]]]),
+            latency=LatencyModel(states=("only",), coeffs=[[[1.0, 2.0]], [[1.0, 1.0]]]),
             prior=Prior([1.0]), signal=sig, disobedience=SWAP))
         assert state_flows(sig, SWAP, 0.25, 0) == pytest.approx([0.375, 0.125], abs=1e-15)
         rng = np.random.default_rng(7)
@@ -234,7 +242,7 @@ class TestFlowMaps:
 class TestValidation:
     def test_negative_constant_coefficient(self):
         with pytest.raises(ConfigurationError):
-            LatencyModel(states=("a",), coeffs=[[[-1.0, 2.0]]])
+            LatencyModel(states=("a",), coeffs=[[[-1.0, 2.0]], [[1.0, 1.0]]])
 
     def test_negative_linear_coefficient(self):
         with pytest.raises(ConfigurationError):
@@ -244,13 +252,16 @@ class TestValidation:
         # only the constant and linear terms are sign-constrained
         LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.5, 1.0]], [[-0.1, 0.0]]])
 
-    def test_strict_increase_flag(self):
-        with pytest.raises(ConfigurationError):
-            LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.0, 1.0]]],
-                         require_strict_increase=True)
-        model = LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.1, 1.0]]],
-                             require_strict_increase=True)
-        assert model.is_strictly_increasing
+    def test_latencies_strictly_increase(self):
+        # every (state, link) needs a positive coefficient of degree >= 1, linear or higher
+        with pytest.raises(ConfigurationError, match="latencies must strictly increase"):
+            LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.0, 1.0]]])
+        with pytest.raises(ConfigurationError, match="latencies must strictly increase"):
+            LatencyModel(states=("a", "b"), coeffs=[[[1.0, 2.0], [1.0, 2.0]],
+                                                    [[0.1, 1.0], [0.1, 0.0]],
+                                                    [[0.0, 1.0], [0.0, -1.0]]])
+        LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.1, 1.0]]])
+        LatencyModel(states=("a",), coeffs=[[[1.0, 2.0]], [[0.0, 1.0]], [[0.5, -0.5]]])
 
     def test_prior_needs_full_support(self):
         with pytest.raises(ConfigurationError):
@@ -303,14 +314,12 @@ class TestValidation:
          "linear latency coefficients must be nonnegative"),
         (LatencyModel, {"states": ("a",), "coeffs": [[[-1.0, 2.0]], [[NAN, 1.0]]]},
          ConfigurationError, "latency coefficients must be finite"),
-        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[0.0, 1.0]]],
-                        "require_strict_increase": True}, ConfigurationError,
-         "strict-increase requested but some (state, link) has no positive coefficient "
-         "of degree >= 1"),
-        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[-0.0, 1.0]]],
-                        "require_strict_increase": True}, ConfigurationError,
-         "strict-increase requested but some (state, link) has no positive coefficient "
-         "of degree >= 1"),
+        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[0.0, 1.0]]]},
+         ConfigurationError, "latencies must strictly increase: some (state, link) has no "
+         "positive coefficient of degree >= 1"),
+        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]], [[-0.0, 1.0]]]},
+         ConfigurationError, "latencies must strictly increase: some (state, link) has no "
+         "positive coefficient of degree >= 1"),
         *[(Prior, {"mu0": mu0}, ConfigurationError,
            "prior must be finite and strictly positive on every state")
           for mu0 in ([0.0, 1.0], [-0.0, 1.0], [NAN, 0.5], [0.5, NAN], [-INF, 0.5], [-0.5, 1.5])],
@@ -358,6 +367,11 @@ class TestValidation:
         *[(Signal, {"pi": [[0.5, 0.5]], "nu": nu}, ConfigurationError,
            f"participation fraction nu = {nu} outside [0, 1]")
           for nu in (NAN, INF, -INF, -0.5, 1.0000000000000002)],
+        # a constant latency does not increase: degree 0 is rejected whatever its terms
+        (LatencyModel, {"states": ("a",), "coeffs": [[[1.0, 2.0]]]}, ConfigurationError,
+         "need at least one state and degree >= 1, got shape (1, 1, 2)"),
+        (LatencyModel, {"states": ("a", "b"), "coeffs": [[[0.0, 0.0], [1.0, 2.0]]]},
+         ConfigurationError, "need at least one state and degree >= 1, got shape (1, 2, 2)"),
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
         with pytest.raises(ConfigurationError) as info:
@@ -386,14 +400,14 @@ class TestValidation:
         assert config.rounds == 5000
         assert np.logical_and.reduce(np.isfinite(simulate(config).m_next))
 
-    def test_small_m_max_needs_flag(self, caplog):
-        from conftest import benchmark_config
-        with pytest.raises(ConfigurationError):
+    def test_small_m_max_rejected(self):
+        # m_max must bound the regret: the safe default 51 less INPUT_TOL is the least value
+        with pytest.raises(ConfigurationError,
+                           match=r"m_max=10.0 below the safe default 51.0: it must bound"):
             benchmark_config(m_max=10.0, m_init=0.0)
-        import logging
-        with caplog.at_level(logging.WARNING, logger="routegame.model"):
-            benchmark_config(m_max=10.0, m_init=0.0, allow_small_m_max=True)
-        assert any("m_max" in rec.message for rec in caplog.records)
+        with pytest.raises(ConfigurationError, match="below the safe default"):
+            benchmark_config(m_max=51.0 - 2e-12, m_init=0.0)
+        assert benchmark_config(m_max=51.0 - 0.5e-12, m_init=0.0).m_max == 51.0 - 0.5e-12
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be nonnegative"),
@@ -418,6 +432,35 @@ class TestValidation:
         from conftest import benchmark_config
         with pytest.raises(ConfigurationError, match=message):
             benchmark_config(**{key: value})
+
+    # A scalar that is not a number fails its range check's comparison; each is the
+    # check's ConfigurationError, not the comparison's bare TypeError.
+    @pytest.mark.parametrize("call, message", [
+        (lambda c: solve_bwe(c, "0.3"), "theta must be a number, got '0.3'"),
+        (lambda c: solve_bwe(c, None), "theta must be a number, got None"),
+        (lambda c: expected_latency(c, "a", [0.25, 0.25]), "theta must be a number, got 'a'"),
+        (lambda c: potential(c, "a", [0.25, 0.25]), "theta must be a number, got 'a'"),
+        (lambda c: verify_vi(c, "a", [0.25, 0.25]), "theta must be a number, got 'a'"),
+        (lambda c: check_obedience(c, tol="a"), "tol must be a number, got 'a'"),
+        (lambda c: envelope_series(5, "a", 0.3, BetaSchedule.constant(0.5)),
+         "e1 must be a number, got 'a'"),
+        (lambda c: envelope_series(5, 0.1, "a", BetaSchedule.constant(0.5)),
+         "beta_min must be a number, got 'a'"),
+        (lambda c: Scenario.discounted("a"), "scenario discount must be a number, got 'a'"),
+        (lambda c: Signal(c.signal.pi, nu="a"),
+         "participation fraction nu must be a number, got 'a'"),
+        (lambda c: replace(c, m_init="a"), "m_init must be a number, got 'a'"),
+        (lambda c: replace(c, theta_hat_init="a"), "theta_hat_init must be a number, got 'a'"),
+        (lambda c: replace(c, beta_min="a"), "beta_min must be a number, got 'a'"),
+        (lambda c: replace(c, solver_tol="a"), "solver_tol must be a number, got 'a'"),
+    ], ids=["solve_bwe-str", "solve_bwe-None", "expected_latency", "potential", "verify_vi",
+            "check_obedience-tol", "envelope_series-e1", "envelope_series-beta_min",
+            "Scenario-discount", "Signal-nu", "m_init", "theta_hat_init", "beta_min",
+            "solver_tol"])
+    def test_non_numeric_scalar_rejected(self, call, message):
+        with pytest.raises(ConfigurationError) as info:
+            call(benchmark_config())
+        assert str(info.value) == message
 
     def test_zero_nu_rejected_with_dynamic_nu(self):
         from conftest import benchmark_config
