@@ -25,16 +25,16 @@ from .dynamics import simulate, write_trajectory_csv
 from .equilibrium import check_obedience
 from .errors import ConfigurationError, SignalRowError, SolverError
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
-from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal)
+from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
+                    _integer)
 
 OUT_DIR_ENV = "ROUTEGAME_OUT"
 
 # Every config key: the kind of value it takes, and whether a file must give it.
-# ``_convert`` reads each kind, and the model types check ranges and shapes.
-# ``int`` and ``float`` take a number (an integral one for ``int``), "array"
-# nested lists of numbers for a model type, "labels" a list of strings or
-# numbers, "numbers" a list of numbers, and "whole" a scenario or estimator
-# that its own parser reads whole.
+# ``_convert`` reads YAML's spellings of ``int``, ``float`` and "numbers" (a
+# list of numbers); "array" and "labels" go to their model type as they are,
+# and "whole" is a scenario or estimator that its own parser reads whole.  The
+# model types check every value.
 _KEYS = {
     "states": ("labels", True), "coeffs": ("array", True), "prior": ("array", True),
     "nu": (float, True), "signal": ("array", True), "disobedience": ("array", False),
@@ -71,60 +71,25 @@ def _parse_file(path) -> dict:
     return raw
 
 
-def _convert(kind, value, name: str):
-    """``value`` read as ``kind`` (see ``_KEYS``), or a ConfigurationError naming ``name``.
+def _convert(kind, value):
+    """``value`` under a key of ``kind`` (see ``_KEYS``), with YAML's spellings read.
 
-    A YAML boolean is not a number here, though ``float(True)`` is 1.0, nor
-    an entry of an array, where numpy would read it as 1.0.  A float is an
-    integer only when it is integral: ``int(2.7)`` truncates to 2.  A state
-    label must be a string or a number: ``str`` would make a label of a null
-    or a list too.  Each branch below returns the value read, raises an
-    error about an entry, or falls through to the error.
+    A string that spells a number is that number under a number key and in
+    a list of numbers, since YAML 1.1 reads ``1e-9``, written without a dot,
+    as a string.  An integral float is an integer under an integer key:
+    ``rounds: 3.0`` is 3 rounds.  Every other value, ``rounds: 2.7``
+    included, goes to the model types as it is, and they check it.
     """
-    if kind is int or kind is float:
-        if not isinstance(value, bool):
-            try:
-                converted = kind(value)
-            except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-                pass
-            else:
-                if kind is float or not isinstance(value, float) or value.is_integer():
-                    return converted
-    elif kind == "whole":
-        return value
-    elif kind == "labels":
-        if isinstance(value, list):
-            for label in value:
-                if isinstance(label, bool) or not isinstance(label, (str, int, float)):
-                    raise ConfigurationError(
-                        f"{name} entries must be strings or numbers, got {label!r}")
-            return value
-    elif kind in ("array", "numbers"):
+    if kind == "numbers" and isinstance(value, list):
+        return [_convert(float, v) for v in value]
+    if kind in (int, float) and isinstance(value, str):
         try:
-            if _holds_bool(value):
-                raise ConfigurationError(f"{name} must hold numbers, got a boolean")
-        except RecursionError:  # such as a list that holds itself through a YAML alias
-            raise ConfigurationError(
-                f"{name} must be an array of numbers, got lists nested too deep") from None
-        if kind == "array":
+            value = float(value)
+        except ValueError:
             return value
-        if isinstance(value, list):
-            return [_convert(float, v, name) for v in value]
-    noun = {int: "an integer", float: "a number", "labels": "a list of labels",
-            "numbers": "a list of numbers"}[kind]
-    raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
-
-
-def _holds_bool(value) -> bool:
-    """Whether a YAML boolean is ``value`` or sits anywhere in its nested lists.
-
-    Each list's element types are gathered in one pass in C, so the walk
-    makes a Python call per nested list, not per entry.
-    """
-    if not isinstance(value, list):
-        return isinstance(value, bool)
-    kinds = set(map(type, value))
-    return bool in kinds or list in kinds and any(map(_holds_bool, value))
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _parse_scenario(value) -> Scenario:
@@ -136,15 +101,12 @@ def _parse_scenario(value) -> Scenario:
     if isinstance(value, str):
         name, eq, discount = value.partition("=")
         name = name.replace("-", "_")
-        if not eq and name == "baseline":
-            return Scenario.baseline()
-        if not eq and name == "dynamic_nu":
-            return Scenario.dynamic_nu()
+        if not eq and name in ("baseline", "dynamic_nu"):
+            return Scenario(kind=name)
         if eq and name == "discounted":
-            return Scenario.discounted(_convert(float, discount, "scenario discount"))
-        raise ConfigurationError(f"unknown scenario {value!r}")
-    if isinstance(value, dict) and list(value) == ["discounted"]:
-        return Scenario.discounted(_convert(float, value["discounted"], "scenario discount"))
+            return Scenario.discounted(_convert(float, discount))
+    elif isinstance(value, dict) and list(value) == ["discounted"]:
+        return Scenario.discounted(_convert(float, value["discounted"]))
     raise ConfigurationError(f"unknown scenario {value!r}")
 
 
@@ -155,57 +117,67 @@ def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
     if isinstance(value, str):
         name, eq, gain = value.partition("=")
         if name == "luenberger":
-            gain = _convert(float, gain, "estimator gain") if eq else 0.0
-            return LuenbergerSpec.from_scalar(gain, n)
+            return LuenbergerSpec.from_scalar(_convert(float, gain) if eq else 0.0, n)
     elif isinstance(value, dict) and list(value) == ["luenberger"]:
         gain = value["luenberger"]
-        if isinstance(gain, (int, float)) and not isinstance(gain, bool):
-            return LuenbergerSpec.from_scalar(float(gain), n)
-        if not isinstance(gain, (list, tuple)):
-            raise ConfigurationError(f"estimator gain must be a number or a list, got {gain!r}")
-        return LuenbergerSpec(gain=tuple(_convert(float, g, "estimator gain") for g in gain))
+        if isinstance(gain, list):
+            return LuenbergerSpec(gain=_convert("numbers", gain))
+        return LuenbergerSpec.from_scalar(_convert(float, gain), n)
     raise ConfigurationError(f"unknown estimator {value!r}")
 
 
 def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
-    """The config the file's keys give; an absent key takes the model's own default."""
-    for key, (_, required) in _KEYS.items():
-        if required and key not in raw:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
-    values = {key: _convert(_KEYS[key][0], value, f"{path}: {key}") for key, value in raw.items()}
+    """The config the file's keys give; an absent key takes the model's own default.
 
-    latency = LatencyModel(states=values["states"], coeffs=values["coeffs"])
-    for key, described in (("links", latency.n), ("degree", latency.degree)):
-        if key in values and values[key] != described:
-            raise ConfigurationError(
-                f"{path}: {key}={values[key]} but coeffs describe {key}={described}")
+    Any error names the file once, ahead of its message, and keeps its type.
+    """
     try:
-        signal = Signal(pi=values["signal"], nu=values["nu"])
-    except SignalRowError as exc:  # name the row by its state
-        label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
-        raise SignalRowError(label, exc.total, exc.nu) from None
-    if "disobedience" in values:
-        disobedience = DisobedienceMatrix(values["disobedience"])
-    else:
-        disobedience = DisobedienceMatrix.default(latency.n)
+        for key, (_, required) in _KEYS.items():
+            if required and key not in raw:
+                raise ConfigurationError(f"missing required key {key!r}")
+        if raw.get("m_max", 0.0) is None:  # GameConfig reads m_max=None as its default
+            raise ConfigurationError("m_max must be a number, got None")
+        values = {key: _convert(_KEYS[key][0], value) for key, value in raw.items()}
 
-    if "beta" in values and "beta_schedule" in values:
-        raise ConfigurationError(f"{path}: give either beta or beta_schedule, not both")
-    estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n)
-    if isinstance(estimator, SmoothingSpec) and "beta_schedule" in values:
-        estimator = SmoothingSpec(BetaSchedule.from_sequence(values["beta_schedule"]))
-    elif isinstance(estimator, SmoothingSpec) and "beta" in values:
-        estimator = SmoothingSpec(BetaSchedule.constant(values["beta"]))
+        latency = LatencyModel(states=values["states"], coeffs=values["coeffs"])
+        for key, described in (("links", latency.n), ("degree", latency.degree)):
+            if key in values and _integer(values[key], key) != described:
+                raise ConfigurationError(
+                    f"{key}={values[key]} but coeffs describe {key}={described}")
+        try:
+            signal = Signal(pi=values["signal"], nu=values["nu"])
+        except SignalRowError as exc:  # name the row by its state
+            label = latency.states[exc.row] if exc.row < latency.num_states else exc.row
+            raise SignalRowError(label, exc.total, exc.nu) from None
+        if "disobedience" in values:
+            disobedience = DisobedienceMatrix(values["disobedience"])
+        else:
+            disobedience = DisobedienceMatrix.default(latency.n)
 
-    return GameConfig(
-        latency=latency,
-        prior=Prior(values["prior"]),
-        signal=signal,
-        disobedience=disobedience,
-        scenario=_parse_scenario(values.get("scenario", "baseline")),
-        estimator=estimator,
-        **{key: values[key] for key in _OWN_FIELDS if key in values},
-    )
+        if "beta" in values and "beta_schedule" in values:
+            raise ConfigurationError("give either beta or beta_schedule, not both")
+        # the weights are checked under the observer too: --estimator smoothing reads them
+        schedule = SmoothingSpec().schedule
+        if "beta_schedule" in values:
+            schedule = BetaSchedule.from_sequence(values["beta_schedule"])
+        elif "beta" in values:
+            schedule = BetaSchedule.constant(values["beta"])
+        estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n)
+        if isinstance(estimator, SmoothingSpec):
+            estimator = SmoothingSpec(schedule)
+
+        return GameConfig(
+            latency=latency,
+            prior=Prior(values["prior"]),
+            signal=signal,
+            disobedience=disobedience,
+            scenario=_parse_scenario(values.get("scenario", "baseline")),
+            estimator=estimator,
+            **{key: values[key] for key in _OWN_FIELDS if key in values},
+        )
+    except ConfigurationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def load_config(path) -> GameConfig:
@@ -340,10 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "rounds", None) is not None and args.rounds < 1:
-        parser.error(f"--rounds must be >= 1, got {args.rounds}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, SolverError, OSError) as exc:

@@ -360,8 +360,8 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
         if trajectory.rounds.start != 1 or trajectory.rounds.step != 1:
             raise ConfigurationError("envelope columns need every round from round 1 on, "
                                      f"got {trajectory.rounds}")
-        bounds = envelope_series(len(trajectory), trajectory[0].e_theta, config.beta_min,
-                                 config.estimator.schedule)
+        e1 = trajectory.theta[0] - trajectory.theta_hat[0]  # round 1's e_theta
+        bounds = envelope_series(len(trajectory), e1, config.beta_min, config.estimator.schedule)
 
     # Each block of rows is filled into its rows' %-templates at once; "%.17g"
     # prints a float as format(v, ".17g") does.  Each state label is quoted

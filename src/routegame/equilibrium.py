@@ -17,9 +17,9 @@ from math import comb, inf
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, _between
-from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _check_unit_interval, _link_vector,
-                    flows, poly_rows, rerouting_shift)
+from .errors import ConfigurationError, SolverError, _real
+from .model import (CompiledGame, GameConfig, OUTPUT_TOL, _link_vector, _unit_interval, flows,
+                    poly_rows, rerouting_shift)
 
 MAX_ITER = 10_000
 
@@ -177,16 +177,26 @@ def _trial_step(game: CompiledGame, rows) -> float:
     return 1.0 if lip == 0.0 else min(1.0, 1.0 / lip)
 
 
-def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndarray:
-    """Prior-averaged per-link latency at forecast participating flows plus y.
+def _theta_and_y(config: GameConfig, theta: float, y,
+                 on_simplex: bool = False) -> tuple[float, np.ndarray]:
+    """``theta`` as a float in [0, 1], and ``y`` as a finite link vector.
 
-    Each state's latencies are evaluated at its own flows, not through the best
-    response's binomial expansion, so :func:`verify_vi` is an independent check.
+    ``y`` must be nonnegative, or, with ``on_simplex``, on the simplex of
+    mass 1 - nu within ``OUTPUT_TOL``.
     """
-    _check_unit_interval(theta, "theta")
+    theta = _unit_interval(theta, "theta")
     y = _link_vector(y, config.latency.n, "y")
-    if np.any(y < 0.0):
+    if on_simplex:
+        mass = 1.0 - config.signal.nu
+        if np.any(y < -OUTPUT_TOL) or abs(float(y.sum()) - mass) > OUTPUT_TOL:
+            raise ConfigurationError(f"y is not on the simplex of mass {mass}")
+    elif np.any(y < 0.0):
         raise ConfigurationError("y must be nonnegative")
+    return theta, y
+
+
+def _expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndarray:
+    """:func:`expected_latency` at a ``theta`` and ``y`` that :func:`_theta_and_y` has read."""
     coeffs, matrix = config.latency.coeffs, config.disobedience.matrix
     acc = np.zeros(config.latency.n)
     for w, pi_w in enumerate(config.signal.pi):
@@ -195,16 +205,22 @@ def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndar
     return acc
 
 
+def expected_latency(config: GameConfig, theta: float, y: np.ndarray) -> np.ndarray:
+    """Prior-averaged per-link latency at forecast participating flows plus y.
+
+    Each state's latencies are evaluated at its own flows, not through the best
+    response's binomial expansion, so :func:`verify_vi` is an independent check.
+    """
+    return _expected_latency(config, *_theta_and_y(config, theta, y))
+
+
 def potential(config: GameConfig, theta: float, y: np.ndarray) -> float:
     """Convex potential whose gradient is :func:`expected_latency`.
 
     Integrated in closed form per monomial, so gradients carry no quadrature
     error.
     """
-    _check_unit_interval(theta, "theta")
-    y = _link_vector(y, config.latency.n, "y")
-    if np.any(y < 0.0):
-        raise ConfigurationError("y must be nonnegative")
+    theta, y = _theta_and_y(config, theta, y)
     game = CompiledGame.of(config)
     rows = response_coeffs(game, flows(game.pi, game.shift, theta))
     return _potential_from_coeffs(np.array(rows), y)
@@ -230,11 +246,8 @@ def verify_vi(config: GameConfig, theta: float, y: np.ndarray) -> float:
     The slack is linear in the comparison point, so the vertex minimum equals
     the minimum over the whole simplex; a value >= -tol certifies y.
     """
-    y = _link_vector(y, config.latency.n, "y")
-    mass = 1.0 - config.signal.nu
-    if np.any(y < -OUTPUT_TOL) or abs(float(y.sum()) - mass) > OUTPUT_TOL:
-        raise ConfigurationError(f"y is not on the simplex of mass {mass}")
-    return _vi_margin(expected_latency(config, theta, np.maximum(y, 0.0)), y, mass)
+    theta, y = _theta_and_y(config, theta, y, on_simplex=True)
+    return _vi_margin(_expected_latency(config, theta, np.maximum(y, 0.0)), y, 1.0 - config.signal.nu)
 
 
 def _stalled(y: np.ndarray, margin: float, iterations: int) -> SolverError:
@@ -306,7 +319,7 @@ def solve_bwe(config: GameConfig, theta: float, *,
     ``start``, a finite vector with one entry per link.  Converged when the
     vertex VI margin clears ``-config.solver_tol``.
     """
-    _check_unit_interval(theta, "theta")
+    theta = _unit_interval(theta, "theta")
     if start is not None:
         start = _link_vector(start, config.latency.n, "start")
     if config.signal.nu == 1.0:  # nothing to respond with; skip compiling the game
@@ -327,7 +340,7 @@ def check_obedience(config: GameConfig, tol: float | None = None) -> ObedienceRe
     """
     if tol is None:
         tol = config.solver_tol
-    if not (_between(0.0, tol, inf, "tol") and tol < inf):  # NaN fails too
+    if not 0.0 <= _real(tol, "tol") < inf:  # NaN fails too
         raise ConfigurationError(f"tol must be finite and nonnegative, got {tol}")
     y0 = solve_bwe(config, 0.0)
     coeffs, mu0, pi = config.latency.coeffs, config.prior.mu0, config.signal.pi

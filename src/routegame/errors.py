@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the range test that raises one."""
+"""Exception types shared across the package, and the number check that raises one."""
 
 from __future__ import annotations
 
@@ -20,18 +20,22 @@ class SignalRowError(ConfigurationError):
         self.row, self.total, self.nu = row, total, nu
 
 
-def _between(low: float, x, high: float, name: str, closed: bool = True) -> bool:
-    """Whether ``low <= x <= high``, or ``low < x < high`` unless ``closed``; NaN is not.
+_NUMBERS = (float, int, np.floating, np.integer)  # the types that _real reads, bool aside
 
-    The comparison of a range check, made on ``x`` as it is, so a valid number
-    is not converted first.  An ``x`` that does not compare with floats, such
-    as a string or None, is a :class:`ConfigurationError` naming ``name``, not
-    the comparison's bare ``TypeError``.
+
+def _real(x, name: str) -> float:
+    """``x`` as a Python float, or a :class:`ConfigurationError` naming ``name``.
+
+    Only a real number is read: a boolean is not one here, though
+    ``float(True)`` is 1.0, nor is a string that spells one, nor an integer
+    beyond the float range.  A range check compares the float it returns.
     """
-    try:
-        return low <= x <= high if closed else low < x < high
-    except TypeError:
-        raise ConfigurationError(f"{name} must be a number, got {x!r}") from None
+    if type(x) is float or isinstance(x, _NUMBERS) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"{name} must be a number, got {x!r}")
 
 
 class SolverError(RuntimeError):

@@ -14,11 +14,11 @@ the two reproduce its ``theta_hat`` column bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, _between
+from .errors import ConfigurationError, _real
 
 
 @dataclass(frozen=True)
@@ -33,22 +33,22 @@ class BetaSchedule:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.value is None) == (self.values is None):
+        if self.value is not None and self.values is not None:
             raise ConfigurationError("beta schedule needs exactly one of a constant or a sequence")
-        try:
-            if self.values is None:
-                object.__setattr__(self, "value", float(self.value))
-            else:
-                object.__setattr__(self, "values", tuple(map(float, self.values)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"smoothing weights must be numbers: {exc}") from None
+        if self.value is not None:
+            object.__setattr__(self, "value", _real(self.value, "beta"))
+        elif isinstance(self.values, (list, tuple, np.ndarray)):
+            object.__setattr__(self, "values",
+                               tuple(_real(b, "beta_schedule entry") for b in self.values))
+        else:  # None too: a schedule needs one of the two
+            raise ConfigurationError(f"beta_schedule must be a list of numbers, got {self.values!r}")
         for b in (self.values if self.values is not None else (self.value,)):
             if not 0.0 < b < 1.0:
                 raise ConfigurationError(f"smoothing weight {b} outside (0, 1)")
 
     @classmethod
     def constant(cls, beta: float) -> "BetaSchedule":
-        return cls(value=beta, values=None)
+        return cls(value=_real(beta, "beta"), values=None)  # so None is not the sequence form
 
     @classmethod
     def from_sequence(cls, seq) -> "BetaSchedule":
@@ -87,9 +87,17 @@ class LuenbergerSpec:
 
     gain: tuple[float, ...] = (0.0,)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.gain, (list, tuple, np.ndarray)):
+            raise ConfigurationError(f"observer gain must be a list of numbers, got {self.gain!r}")
+        gain = tuple(_real(g, "observer gain") for g in self.gain)
+        if not all(map(isfinite, gain)):
+            raise ConfigurationError(f"observer gain must be finite, got {gain}")
+        object.__setattr__(self, "gain", gain)
+
     @classmethod
     def from_scalar(cls, gain: float, n: int) -> "LuenbergerSpec":
-        return cls(gain=(float(gain),) * n)
+        return cls(gain=(gain,) * n)
 
 
 def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
@@ -99,7 +107,13 @@ def smooth(theta_hat: float, theta_observed: float, beta: float) -> float:
 
 def observe(m_hat: float, k: int, u: float, gain: np.ndarray, ell: np.ndarray,
             ell_hat: np.ndarray) -> float:
-    """Regret estimate after round k: the regret recursion plus gain . (ell - ell_hat)."""
+    """Regret estimate after round k: the running average plus gain . (ell - ell_hat).
+
+    The running average ``k/(k+1) m_hat + u/(k+1)`` is the baseline regret
+    recursion, and it is folded under every scenario: the observer ignores
+    the discounted scenario's ``lambda m + (1 - lambda) u``.  So under
+    ``discounted`` its forecast does not track theta even at gain 0.
+    """
     return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain.dot(ell - ell_hat))
 
 
@@ -116,9 +130,9 @@ def envelope_series(num_rounds: int, e1: float, beta_min: float,
         raise ConfigurationError(f"num_rounds must be an integer, got {type(num_rounds).__name__}")
     if num_rounds < 1:
         raise ConfigurationError("envelope series needs at least one round")
-    if not _between(-inf, e1, inf, "e1", closed=False):  # NaN fails too
+    if not -inf < _real(e1, "e1") < inf:  # NaN fails too
         raise ConfigurationError(f"e1 must be finite, got {e1}")
-    if not _between(0.0, beta_min, 1.0, "beta_min", closed=False):
+    if not 0.0 < _real(beta_min, "beta_min") < 1.0:
         raise ConfigurationError(f"beta_min = {beta_min} outside (0, 1)")
     if beta_schedule.values is not None and len(beta_schedule.values) < num_rounds - 1:
         raise ConfigurationError(f"beta schedule has {len(beta_schedule.values)} entries, "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SignalRowError, _between
+from .errors import _NUMBERS, ConfigurationError, SignalRowError, _real
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
 
 logger = logging.getLogger(__name__)
@@ -35,26 +35,37 @@ INPUT_TOL = 1e-12   # simplex tolerance for validated inputs
 OUTPUT_TOL = 1e-10  # simplex tolerance for computed flows
 
 
+def _holds_bool(value) -> bool:
+    """Whether a boolean is ``value`` or an entry of it, at any depth of lists, tuples and arrays.
+
+    Each list's element types are gathered in one pass in C, so the walk
+    makes a Python call per nested sequence, not per entry; an array is
+    read by its dtype.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b" or value.dtype.kind == "O" and _holds_bool(value.tolist())
+    if not isinstance(value, (list, tuple)):
+        return isinstance(value, (bool, np.bool_))
+    kinds = set(map(type, value))
+    return (bool in kinds or np.bool_ in kinds
+            or not kinds.isdisjoint((list, tuple, np.ndarray)) and any(map(_holds_bool, value)))
+
+
 def _readonly(a, name: str) -> np.ndarray:
+    """``a`` as a read-only float array.
+
+    A boolean entry is not a number here, though numpy would read it as 1.0
+    or 0.0.  A list that holds itself, as a YAML alias can make one, is not
+    an array: its walk runs out of recursion depth.
+    """
     try:
-        arr = np.array(a, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged nesting or a non-numeric entry
+        arr = None if _holds_bool(a) else np.array(a, dtype=float)
+    except (TypeError, ValueError, RecursionError) as exc:  # ragged nesting or a non-number
         raise ConfigurationError(f"{name} must be a rectangular array of numbers: {exc}") from None
+    if arr is None:
+        raise ConfigurationError(f"{name} must hold numbers, got a boolean")
     arr.setflags(write=False)
     return arr
-
-
-def _finite_nonnegative_max(a: np.ndarray) -> float | None:
-    """The largest entry of ``a`` (0.0 if empty) if every entry is finite and >= 0, else None.
-
-    Two reductions and no temporaries.  ``np.minimum`` and ``np.maximum``
-    propagate NaN, which fails both comparisons; ``initial=0.0`` lets an
-    empty array pass, as ``np.all`` does.
-    """
-    top = np.maximum.reduce(a, axis=None, initial=0.0)
-    if 0.0 <= np.minimum.reduce(a, axis=None, initial=0.0) and top < math.inf:
-        return top
-    return None
 
 
 def _row_sums(a: np.ndarray, top: float) -> np.ndarray:
@@ -72,9 +83,36 @@ def _row_sums(a: np.ndarray, top: float) -> np.ndarray:
         return np.add.reduce(a, axis=-1)
 
 
-def _check_unit_interval(x: float, name: str) -> None:
-    if not _between(0.0, x, 1.0, name):
+def _check_rows(a: np.ndarray, mass: float, name: str, row_error) -> None:
+    """Check that ``a``'s entries are finite and nonnegative and each row sums to ``mass``.
+
+    A sum within ``INPUT_TOL`` of ``mass`` passes; the first row that fails
+    raises ``row_error(row, total)``.  ``np.minimum`` and ``np.maximum``
+    propagate NaN, which fails both entry comparisons; ``initial=0.0`` lets
+    an empty array pass, as ``np.all`` does.
+    """
+    top = np.maximum.reduce(a, axis=None, initial=0.0)
+    if not (0.0 <= np.minimum.reduce(a, axis=None, initial=0.0) and top < math.inf):
+        raise ConfigurationError(f"{name} entries must be finite and nonnegative")
+    sums = _row_sums(a, top)
+    bad = (np.abs(sums - mass) > INPUT_TOL).nonzero()[0]
+    if bad.size:
+        raise row_error(int(bad[0]), float(sums[bad[0]]))
+
+
+def _unit_interval(x, name: str) -> float:
+    """``x`` as a float, checked to lie in [0, 1]."""
+    x = _real(x, name)
+    if not 0.0 <= x <= 1.0:  # NaN fails too
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, if it is an integer; a boolean is not one here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _link_vector(v, n: int, name: str) -> np.ndarray:
@@ -105,7 +143,12 @@ class LatencyModel:
             raise ConfigurationError(
                 f"latency coefficients must be a (degree+1, states, links) tensor, got shape {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
+        if not isinstance(self.states, (list, tuple, np.ndarray)):
+            raise ConfigurationError(f"states must be a list of labels, got {self.states!r}")
+        for label in self.states:  # str() would make a label of a null or a list too
+            if isinstance(label, bool) or not isinstance(label, (str, *_NUMBERS)):
+                raise ConfigurationError(f"states entries must be strings or numbers, got {label!r}")
+        object.__setattr__(self, "states", tuple(map(str, self.states)))
         dplus1, s, n = coeffs.shape
         if n < 2:
             raise ConfigurationError(f"need at least 2 links, got {n}")
@@ -177,17 +220,10 @@ class Signal:
     def __post_init__(self) -> None:
         pi = _readonly(self.pi, "signal")
         object.__setattr__(self, "pi", pi)
-        _check_unit_interval(self.nu, "participation fraction nu")
+        object.__setattr__(self, "nu", _unit_interval(self.nu, "participation fraction nu"))
         if pi.ndim != 2:
             raise ConfigurationError(f"signal must be a (states, links) matrix, got shape {pi.shape}")
-        top = _finite_nonnegative_max(pi)
-        if top is None:
-            raise ConfigurationError("signal entries must be finite and nonnegative")
-        sums = _row_sums(pi, top)
-        bad = (np.abs(sums - self.nu) > INPUT_TOL).nonzero()[0]
-        if bad.size:
-            w = int(bad[0])
-            raise SignalRowError(w, float(sums[w]), self.nu)
+        _check_rows(pi, self.nu, "signal", lambda w, total: SignalRowError(w, total, self.nu))
 
 
 def _rescaled(pi: np.ndarray, nu: float, target: float) -> np.ndarray:
@@ -209,16 +245,11 @@ class DisobedienceMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"disobedience matrix must be square, got shape {m.shape}")
-        top = _finite_nonnegative_max(m)
-        if top is None:
-            raise ConfigurationError("disobedience matrix entries must be finite and nonnegative")
-        if np.logical_or.reduce(m.diagonal() != 0):
+        # checked by its largest entry; a NaN or infinite one is left to the entry check
+        if 0.0 < np.maximum.reduce(m.diagonal(), initial=0.0) < math.inf:
             raise ConfigurationError("disobedience matrix must have a zero diagonal")
-        sums = _row_sums(m, top)
-        bad = (np.abs(sums - 1.0) > INPUT_TOL).nonzero()[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ConfigurationError(f"disobedience matrix row {i} sums to {float(sums[i])!r}, expected 1")
+        _check_rows(m, 1.0, "disobedience matrix", lambda i, total: ConfigurationError(
+            f"disobedience matrix row {i} sums to {total!r}, expected 1"))
 
     @property
     def n(self) -> int:
@@ -246,9 +277,11 @@ class Scenario:
         if self.kind not in ("baseline", "discounted", "dynamic_nu"):
             raise ConfigurationError(f"unknown scenario {self.kind!r}")
         if self.kind == "discounted":
-            if not _between(0.0, self.discount, 1.0, "scenario discount", closed=False):
+            discount = _real(self.discount, "scenario discount")
+            if not 0.0 < discount < 1.0:
                 raise ConfigurationError(
-                    f"discounted scenario needs a discount factor in (0, 1), got {self.discount}")
+                    f"discounted scenario needs a discount factor in (0, 1), got {discount}")
+            object.__setattr__(self, "discount", discount)
         elif self.discount is not None:
             raise ConfigurationError(f"scenario {self.kind!r} takes no discount factor")
 
@@ -290,6 +323,13 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each scalar is stored as a Python float or int, whatever numeric type it came as
+        for name in ("m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol"):
+            if type(getattr(self, name)) is not float:
+                object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("rounds", "seed"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         lat = self.latency
         if self.prior.mu0.size != lat.num_states:
             raise ConfigurationError(
@@ -305,25 +345,19 @@ class GameConfig:
                 "the dynamic_nu scenario needs nu > 0: it rescales the signal to each round's "
                 "disobedience fraction, and a signal of nu = 0 has no mass to rescale")
         default_cap = m_max_default(lat)
-        m_max = default_cap if self.m_max is None else float(self.m_max)
+        m_max = default_cap if self.m_max is None else _real(self.m_max, "m_max")
         if not 0.0 < m_max < math.inf:  # NaN fails too
             raise ConfigurationError(f"m_max must be finite and positive, got {m_max}")
         if m_max < default_cap - INPUT_TOL:
             raise ConfigurationError(
                 f"m_max={m_max} below the safe default {default_cap}: it must bound the regret")
         object.__setattr__(self, "m_max", m_max)
-        if not _between(-m_max, self.m_init, m_max, "m_init"):
+        if not -m_max <= self.m_init <= m_max:  # NaN fails too
             raise ConfigurationError(f"m_init={self.m_init} outside [-{m_max}, {m_max}]")
-        _check_unit_interval(self.theta_hat_init, "theta_hat_init")
-        if not (_between(0.0, self.beta_min, 1.0, "beta_min", closed=False)
-                and _between(0.0, self.beta_max, 1.0, "beta_max", closed=False)
-                and self.beta_min <= self.beta_max):
+        _unit_interval(self.theta_hat_init, "theta_hat_init")
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise ConfigurationError(
                 f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
-        for name in ("rounds", "seed"):  # a bool is an int, but not a count or a seed
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         # Round k <= rounds folds the regret as (k m + u) / (k + 1).  After the
@@ -349,13 +383,11 @@ class GameConfig:
             if len(self.estimator.gain) != lat.n:
                 raise ConfigurationError(
                     f"observer gain has {len(self.estimator.gain)} entries for {lat.n} links")
-            if not all(math.isfinite(g) for g in self.estimator.gain):
-                raise ConfigurationError(f"observer gain must be finite, got {self.estimator.gain}")
             if any(g != 0.0 for g in self.estimator.gain):
                 logger.warning("nonzero observer gain: stability unanalyzed")
         else:
             raise ConfigurationError(f"unknown estimator spec {type(self.estimator).__name__}")
-        if not _between(0.0, self.solver_tol, math.inf, "solver_tol", closed=False):
+        if not 0.0 < self.solver_tol < math.inf:
             raise ConfigurationError(f"solver_tol must be finite and positive, got {self.solver_tol}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")

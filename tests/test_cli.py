@@ -171,6 +171,28 @@ class TestLoadConfig:
             with pytest.raises(ConfigurationError, match="unknown estimator"):
                 _parse_estimator(value, 2)
 
+    @pytest.mark.parametrize("line, field, value", [
+        ("solver_tol: 1e-9", "solver_tol", 1e-9),
+        ("m_init: -2e+1", "m_init", -20.0),
+        ("rounds: 1e2", "rounds", 100),
+        ("scenario: {discounted: 9e-1}", "scenario", Scenario.discounted(0.9)),
+        ("estimator: {luenberger: [1e-3, 0]}", "estimator", LuenbergerSpec((0.001, 0.0))),
+    ])
+    def test_number_spelled_without_a_dot(self, tmp_path, line, field, value):
+        # YAML 1.1 reads an exponent written without a dot as a string
+        key = line.partition(":")[0]
+        assert isinstance(yaml.safe_load(line)[key], (str, dict))
+        target = tmp_path / "config.yaml"
+        target.write_text(PAPER_CONFIG.read_text().replace("rounds: 5000\n", "") + line + "\n")
+        got = getattr(load_config(target), field)
+        assert got == value and type(got) is type(value)
+
+    def test_beta_checked_under_the_observer(self, tmp_path, capsys):
+        # --estimator smoothing reads the file's beta, so the observer does not hide a bad one
+        path = write_config(tmp_path, estimator={"luenberger": 0.0}, beta=True)
+        assert main(["check-obedience", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: beta must be a number, got True\n"
+
     def test_beta_schedule_must_cover_rounds(self, tmp_path):
         path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=10)
         with pytest.raises(ConfigurationError, match="beta schedule has 3 entries"):
@@ -215,6 +237,25 @@ class TestDigest:
         dump.write_text(yaml.safe_dump(config_to_dict(cfg)))
         again = load_config(dump)
         assert config_digest(again) == config_digest(cfg)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_digest_ignores_numeric_type(self, data):
+        # an int, a float and an np.float64 of one value give one config; so does its dump
+        field, low, high = data.draw(st.sampled_from([
+            ("m_max", 51, 10**6), ("m_init", -51, 51), ("theta_hat_init", 0, 1),
+            ("beta_min", 0.01, 0.49), ("beta_max", 0.51, 0.99), ("solver_tol", 1e-12, 10)]))
+        top = math.floor(high)
+        ints = st.integers(math.ceil(low), top) if math.ceil(low) <= top else st.nothing()
+        value = data.draw(st.one_of(ints, st.floats(low, high)))
+        forms = [float(value), np.float64(value)] + ([int(value)] if value == int(value) else [])
+        base = load_config(PAPER_CONFIG)
+        digests = {config_digest(replace(base, **{field: form})) for form in forms}
+        assert len(digests) == 1
+        with tempfile.TemporaryDirectory() as tmp:
+            dump = Path(tmp) / "resolved.yaml"
+            dump.write_text(yaml.safe_dump(config_to_dict(replace(base, **{field: value}))))
+            assert {config_digest(load_config(dump))} == digests
 
     def test_digest_changes_with_any_field(self, tmp_path):
         base = config_digest(load_config(write_config(tmp_path)))
@@ -280,11 +321,13 @@ class TestSimulateCommand:
         b = (out / "run001_seed1.csv").read_bytes()
         assert a == b
 
-    def test_zero_rounds_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "0",
-                  "--out", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_zero_rounds_is_usage_error(self, tmp_path, capsys):
+        # the flag is written into the file's keys, so it fails as rounds: 0 in the file does
+        rc = main(["simulate", "--config", str(PAPER_CONFIG), "--rounds", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {PAPER_CONFIG}: rounds must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_scenario_flag_overrides_file(self, tmp_path):
         out = tmp_path / "out"
@@ -310,7 +353,8 @@ class TestSimulateCommand:
                    "--scenario", "discounted=-0.5", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: discounted scenario needs a discount factor in (0, 1), got -0.5\n")
+            f"error: {PAPER_CONFIG}: discounted scenario needs a discount factor in (0, 1), "
+            "got -0.5\n")
 
     def test_estimator_flag_overrides_file(self, tmp_path):
         out = tmp_path / "out"
@@ -438,7 +482,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(PAPER_CONFIG), "--estimator", "luenberger0.5",
                    "--rounds", "5", "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: unknown estimator 'luenberger0.5'\n"
+        assert capsys.readouterr().err == f"error: {PAPER_CONFIG}: unknown estimator 'luenberger0.5'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gain", ["nan", "inf"])
@@ -446,7 +490,8 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(PAPER_CONFIG), "--estimator", f"luenberger={gain}",
                    "--rounds", "5", "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: observer gain must be finite")
+        assert capsys.readouterr().err.startswith(
+            f"error: {PAPER_CONFIG}: observer gain must be finite")
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
@@ -506,14 +551,14 @@ class TestCheckObedienceCommand:
         # numpy reads a YAML boolean in an array as 1.0 or 0.0
         ("signal", [[True, False], [False, True]], "signal must hold numbers, got a boolean"),
         ("coeffs", [[[5, 25], [20, 15]], [[4, 2], [True, 2]]],
-         "coeffs must hold numbers, got a boolean"),
+         "latency coefficients must hold numbers, got a boolean"),
         ("prior", [0.6, True], "prior must hold numbers, got a boolean"),
         ("disobedience", [[False, True], [True, False]],
-         "disobedience must hold numbers, got a boolean"),
-        ("beta_schedule", [0.5, True], "beta_schedule must hold numbers, got a boolean"),
+         "disobedience matrix must hold numbers, got a boolean"),
+        ("beta_schedule", [0.5, True], "beta_schedule entry must be a number, got True"),
         # safe_dump writes &id001 [*id001]; the walk must not escape as a RecursionError
         ("disobedience", self_containing_list(),
-         "disobedience must be an array of numbers, got lists nested too deep"),
+         "disobedience matrix must be a rectangular array of numbers: maximum recursion depth"),
         # every latency strictly increases: a flat link, or a constant latency of degree 0
         ("coeffs", [[[5, 25], [20, 15]], [[4, 0], [1, 2]]],
          "error: latencies must strictly increase: some (state, link) has no positive "
@@ -522,18 +567,21 @@ class TestCheckObedienceCommand:
          "error: need at least one state and degree >= 1, got shape (1, 2, 2)"),
     ])
     def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
-        rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
+        path = write_config(tmp_path, **{field: value})
+        rc = main(["check-obedience", "--config", str(path)])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        # the error line names the file once, ahead of the model type's message
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {message.removeprefix('error: ')}")
 
     @pytest.mark.parametrize("field, value, message", [
         ("nu", "half", "nu must be a number, got 'half'"),
         ("rounds", "many", "rounds must be an integer, got 'many'"),
-        ("estimator", {"luenberger": ["a", 0]}, "estimator gain must be a number, got 'a'"),
+        ("estimator", {"luenberger": ["a", 0]}, "observer gain must be a number, got 'a'"),
         ("m_init", [1], "m_init must be a number, got [1]"),
         ("seed", [1], "seed must be an integer, got [1]"),
         ("states", 5, "states must be a list of labels, got 5"),
-        ("estimator", "luenberger=a", "estimator gain must be a number, got 'a'"),
+        ("estimator", "luenberger=a", "observer gain must be a number, got 'a'"),
         ("scenario", "discounted=a", "scenario discount must be a number, got 'a'"),
         # the two keys that took a YAML boolean are gone: their rules always hold
         ("allow_small_m_max", True, "unknown config keys ['allow_small_m_max']"),
@@ -547,15 +595,15 @@ class TestCheckObedienceCommand:
         ("nu", True, "nu must be a number, got True"),
         ("solver_tol", True, "solver_tol must be a number, got True"),
         ("theta_hat_init", True, "theta_hat_init must be a number, got True"),
-        ("estimator", {"luenberger": True}, "estimator gain must be a number or a list, got True"),
-        ("estimator", {"luenberger": [True, 0]}, "estimator gain must be a number, got True"),
+        ("estimator", {"luenberger": True}, "observer gain must be a number, got True"),
+        ("estimator", {"luenberger": [True, 0]}, "observer gain must be a number, got True"),
         ("scenario", {"discounted": False}, "scenario discount must be a number, got False"),
         # float() of an integer this large overflows
         ("m_max", 10**400, "m_max must be a number, got 1000"),
-        # BetaSchedule.from_sequence would call float() on each entry, or iterate a scalar
+        # BetaSchedule takes a list of numbers, not a scalar, a string or a nested list
         ("beta_schedule", 0.5, "beta_schedule must be a list of numbers, got 0.5"),
-        ("beta_schedule", [0.5, "x"], "beta_schedule must be a number, got 'x'"),
-        ("beta_schedule", [[0.5], 0.5], "beta_schedule must be a number, got [0.5]"),
+        ("beta_schedule", [0.5, "x"], "beta_schedule entry must be a number, got 'x'"),
+        ("beta_schedule", [[0.5], 0.5], "beta_schedule entry must be a number, got [0.5]"),
         # str() would make a label of any of these
         ("states", [None, [1, 2]], "states entries must be strings or numbers, got None"),
         ("states", ["omega1", [1, 2]], "states entries must be strings or numbers, got [1, 2]"),
@@ -564,10 +612,11 @@ class TestCheckObedienceCommand:
          "states entries must be strings or numbers, got {'a': 1}"),
     ])
     def test_malformed_scalar_exit_one(self, tmp_path, capsys, field, value, message):
-        rc = main(["check-obedience", "--config", str(write_config(tmp_path, **{field: value}))])
+        path = write_config(tmp_path, **{field: value})
+        rc = main(["check-obedience", "--config", str(path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     def test_null_beta_schedule_exit_one(self, tmp_path, capsys):
         # write_config drops a None value, so the null is written as text
@@ -578,11 +627,20 @@ class TestCheckObedienceCommand:
         err = capsys.readouterr().err
         assert err == f"error: {target}: beta_schedule must be a list of numbers, got None\n"
 
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_null_under_any_key_exit_one(self, tmp_path, capsys, key):
+        # null is not a key left out: GameConfig alone would read m_max=None as its default
+        raw = {**yaml.safe_load(PAPER_CONFIG.read_text()), key: None}
+        target = tmp_path / "config.yaml"
+        target.write_text(yaml.safe_dump(raw))
+        assert main(["check-obedience", "--config", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
     def test_non_finite_prior_exit_one(self, tmp_path, capsys):
-        rc = main(["check-obedience", "--config",
-                   str(write_config(tmp_path, prior=[float("nan"), 0.4]))])
+        path = write_config(tmp_path, prior=[float("nan"), 0.4])
+        rc = main(["check-obedience", "--config", str(path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: prior must be finite")
+        assert capsys.readouterr().err.startswith(f"error: {path}: prior must be finite")
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -59,17 +59,19 @@ class TestBetaSchedule:
         assert (lower + upper) / 2.0 == pytest.approx([1.0, 0.6, 0.6 * 0.5, 0.6 * 0.5 * 0.4],
                                                       abs=1e-15)
 
-    @pytest.mark.parametrize("make", [
-        lambda: BetaSchedule.from_sequence(["a"]),
-        lambda: BetaSchedule.from_sequence([0.4, [0.5]]),
-        lambda: BetaSchedule.from_sequence(0.5),
-        lambda: BetaSchedule.constant("a"),
-        lambda: BetaSchedule.constant([0.5]),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BetaSchedule.from_sequence(["a"]), "beta_schedule entry must be a number, got 'a'"),
+        (lambda: BetaSchedule.from_sequence([0.4, [0.5]]),
+         "beta_schedule entry must be a number, got [0.5]"),
+        (lambda: BetaSchedule.from_sequence(0.5), "beta_schedule must be a list of numbers, got 0.5"),
+        (lambda: BetaSchedule.constant("a"), "beta must be a number, got 'a'"),
+        (lambda: BetaSchedule.constant([0.5]), "beta must be a number, got [0.5]"),
     ], ids=["sequence-string", "sequence-list", "sequence-scalar", "constant-string",
             "constant-list"])
-    def test_non_numeric_weight_rejected(self, make):
-        with pytest.raises(ConfigurationError, match="smoothing weights must be numbers"):
+    def test_non_numeric_weight_rejected(self, make, message):
+        with pytest.raises(ConfigurationError) as info:
             make()
+        assert str(info.value) == message
 
 
 class TestSmoothing:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -372,6 +373,43 @@ class TestValidation:
          "need at least one state and degree >= 1, got shape (1, 1, 2)"),
         (LatencyModel, {"states": ("a", "b"), "coeffs": [[[0.0, 0.0], [1.0, 2.0]]]},
          ConfigurationError, "need at least one state and degree >= 1, got shape (1, 2, 2)"),
+        # a boolean is not a number, though numpy reads one in an array as 1.0 or 0.0:
+        # in a list, as numpy's np.bool_, or as an array's dtype
+        *[(constructor, kwargs, ConfigurationError, f"{name} must hold numbers, got a boolean")
+          for constructor, name, kwargs in [
+              (LatencyModel, "latency coefficients", coeffs_with(1, True)),
+              (LatencyModel, "latency coefficients",
+               {"states": ("a",), "coeffs": np.ones((2, 1, 2), dtype=bool)}),
+              (Prior, "prior", {"mu0": [True, False]}),
+              (Prior, "prior", {"mu0": np.array([True, True])}),
+              (Signal, "signal", {"pi": [[np.True_, 0.0]], "nu": 1.0}),
+              (Signal, "signal", {"pi": np.eye(2, dtype=bool), "nu": 1.0}),
+              (DisobedienceMatrix, "disobedience matrix",
+               {"matrix": [[False, True], [True, False]]}),
+              (DisobedienceMatrix, "disobedience matrix",
+               {"matrix": np.array([[0.0, True], [1.0, 0.0]], dtype=object)}),
+          ]],
+        # nor is it a scalar number, though float(True) is 1.0
+        *[(benchmark_config, {name: True}, ConfigurationError, f"{name} must be a number, got True")
+          for name in ("m_max", "m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol")],
+        (Signal, {"pi": [[0.5, 0.5]], "nu": True}, ConfigurationError,
+         "participation fraction nu must be a number, got True"),
+        (Scenario.discounted, {"discount": True}, ConfigurationError,
+         "scenario discount must be a number, got True"),
+        # m_max is checked before it is converted: float() would read "60" as 60.0
+        *[(benchmark_config, {"m_max": v}, ConfigurationError, f"m_max must be a number, got {v!r}")
+          for v in ("a", [60], "60")],
+        # str() would make a label of a null or a list
+        (LatencyModel, {"states": (None, [1]), "coeffs": np.ones((2, 2, 2))}, ConfigurationError,
+         "states entries must be strings or numbers, got None"),
+        (LuenbergerSpec, {"gain": ("a", 0.0)}, ConfigurationError,
+         "observer gain must be a number, got 'a'"),
+        (LuenbergerSpec, {"gain": (True, 0.0)}, ConfigurationError,
+         "observer gain must be a number, got True"),
+        (LuenbergerSpec.from_scalar, {"gain": True, "n": 2}, ConfigurationError,
+         "observer gain must be a number, got True"),
+        (LuenbergerSpec, {"gain": 0.5}, ConfigurationError,
+         "observer gain must be a list of numbers, got 0.5"),
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
         with pytest.raises(ConfigurationError) as info:
@@ -391,6 +429,11 @@ class TestValidation:
     ])
     def test_negative_zero_accepted(self, cls, kwargs):
         cls(**kwargs)
+
+    def test_numpy_scalars_are_labels(self):
+        model = LatencyModel(states=[np.int64(1), np.float64(2.5)], coeffs=np.ones((2, 2, 2)))
+        assert model.states == ("1", "2.5")
+        assert LatencyModel(states=np.array(["a", "b"]), coeffs=model.coeffs).states == ("a", "b")
 
     def test_large_finite_coefficient_runs(self):
         # 1e300 leaves (rounds + 1) * m_max finite, so every round's regret is too
@@ -422,19 +465,20 @@ class TestValidation:
         ("rounds", "5", "rounds must be an integer"),
         ("rounds", True, "rounds must be an integer"),
         ("seed", True, "seed must be an integer"),
-        ("estimator", LuenbergerSpec((0.0, math.nan)), "observer gain must be finite"),
-        ("estimator", LuenbergerSpec((math.inf, 0.0)), "observer gain must be finite"),
-        ("estimator", LuenbergerSpec((0.0, -math.inf)), "observer gain must be finite"),
+        # LuenbergerSpec checks its own gain, so these are built inside the test
+        ("estimator", partial(LuenbergerSpec, (0.0, math.nan)), "observer gain must be finite"),
+        ("estimator", partial(LuenbergerSpec, (math.inf, 0.0)), "observer gain must be finite"),
+        ("estimator", partial(LuenbergerSpec, (0.0, -math.inf)), "observer gain must be finite"),
         ("estimator", LuenbergerSpec((0.0,) * 3), "observer gain has 3 entries for 2 links"),
         ("disobedience", DisobedienceMatrix.default(3), "disobedience matrix is 3x3 for 2 links"),
     ])
     def test_setting_out_of_range_rejected(self, key, value, message):
         from conftest import benchmark_config
         with pytest.raises(ConfigurationError, match=message):
-            benchmark_config(**{key: value})
+            benchmark_config(**{key: value() if isinstance(value, partial) else value})
 
-    # A scalar that is not a number fails its range check's comparison; each is the
-    # check's ConfigurationError, not the comparison's bare TypeError.
+    # A scalar that is not a number is rejected before its range check compares it;
+    # each is a ConfigurationError naming the argument, not a comparison's bare TypeError.
     @pytest.mark.parametrize("call, message", [
         (lambda c: solve_bwe(c, "0.3"), "theta must be a number, got '0.3'"),
         (lambda c: solve_bwe(c, None), "theta must be a number, got None"),
