@@ -10,6 +10,7 @@ run is reproducible from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -31,13 +32,13 @@ from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenari
 OUT_DIR_ENV = "ROUTEGAME_OUT"
 
 # Every config key: the kind of value it takes, and whether a file must give it.
-# ``_convert`` reads YAML's spellings of ``int``, ``float`` and "numbers" (a
-# list of numbers); "array" and "labels" go to their model type as they are,
-# and "whole" is a scenario or estimator that its own parser reads whole.  The
-# model types check every value.
+# ``_convert`` reads YAML's spellings of ``int``, ``float`` and "numbers" (an
+# array or list of numbers, nested to any depth); "labels" go to their model
+# type as they are, and "whole" is a scenario or estimator that its own parser
+# reads whole.  The model types check every value.
 _KEYS = {
-    "states": ("labels", True), "coeffs": ("array", True), "prior": ("array", True),
-    "nu": (float, True), "signal": ("array", True), "disobedience": ("array", False),
+    "states": ("labels", True), "coeffs": ("numbers", True), "prior": ("numbers", True),
+    "nu": (float, True), "signal": ("numbers", True), "disobedience": ("numbers", False),
     "links": (int, False), "degree": (int, False),
     "beta": (float, False), "beta_schedule": ("numbers", False),
     "scenario": ("whole", False), "estimator": ("whole", False),
@@ -48,6 +49,7 @@ _KEYS = {
 # The keys that GameConfig takes under their own names, read and written as they are.
 _OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol",
                "rounds", "seed")
+_PLAIN_NUMBERS = frozenset((int, float))  # the entry types YAML gives a list of numbers
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
 # write the same documents as the pure-Python classes, several times faster.
@@ -74,14 +76,18 @@ def _parse_file(path) -> dict:
 def _convert(kind, value):
     """``value`` under a key of ``kind`` (see ``_KEYS``), with YAML's spellings read.
 
-    A string that spells a number is that number under a number key and in
-    a list of numbers, since YAML 1.1 reads ``1e-9``, written without a dot,
-    as a string.  An integral float is an integer under an integer key:
-    ``rounds: 3.0`` is 3 rounds.  Every other value, ``rounds: 2.7``
-    included, goes to the model types as it is, and they check it.
+    A string that spells a number is that number under a number key and at
+    any depth of a "numbers" key's lists, since YAML 1.1 reads ``1e-9``,
+    written without a dot, as a string.  An integral float is an integer
+    under an integer key: ``rounds: 3.0`` is 3 rounds.  Every other value,
+    ``rounds: 2.7`` included, goes to the model types as it is, and they
+    check it.
     """
-    if kind == "numbers" and isinstance(value, list):
-        return [_convert(float, v) for v in value]
+    if kind == "numbers":
+        try:
+            return _spelled(value)
+        except RecursionError:  # a list that holds itself, which its model type rejects
+            return value
     if kind in (int, float) and isinstance(value, str):
         try:
             value = float(value)
@@ -89,6 +95,20 @@ def _convert(kind, value):
             return value
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
+    return value
+
+
+def _spelled(value):
+    """``value`` with each string in it, at any depth of lists, read as a number if it spells one.
+
+    A list of plain numbers is returned as it is, after one pass in C over
+    its entry types, so the walk makes a Python call per nested list and per
+    string, not per number.
+    """
+    if isinstance(value, str):
+        return _convert(float, value)
+    if isinstance(value, list) and not _PLAIN_NUMBERS.issuperset(map(type, value)):
+        return [_spelled(v) for v in value]
     return value
 
 
@@ -217,7 +237,12 @@ def config_to_dict(config: GameConfig) -> dict:
 
 def config_digest(config: GameConfig) -> str:
     """Platform-stable content hash of the resolved config."""
-    text = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    return _digest(config_to_dict(config))
+
+
+def _digest(resolved: dict) -> str:
+    """The hash ``config_digest`` gives, of a config's ``config_to_dict`` form."""
+    text = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -239,6 +264,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = _out_dir(args)
     resolved_path = out_dir / "resolved_config.yaml"
+    resolved = config_to_dict(config)  # the one source of the dump and of the digest
     runs = []
     for idx, (seed, run_config) in enumerate(zip(seeds, run_configs)):
         started = time.perf_counter()
@@ -246,7 +272,7 @@ def cmd_simulate(args) -> int:
         if idx == 0:  # the first run's columns are allocated, so the run can start writing
             out_dir.mkdir(parents=True, exist_ok=True)
             with open(resolved_path, "w") as fh:
-                yaml.dump(config_to_dict(config), fh, Dumper=_Dumper, sort_keys=False)
+                yaml.dump(resolved, fh, Dumper=_Dumper, sort_keys=False)
         csv_path = out_dir / f"run{idx:03d}_seed{seed}.csv"
         write_trajectory_csv(csv_path, trajectory, run_config,
                              with_envelope=args.emit_envelope)
@@ -256,7 +282,7 @@ def cmd_simulate(args) -> int:
 
     manifest = {
         "artifact_version": __version__,
-        "config_digest": config_digest(config),
+        "config_digest": _digest(resolved),
         "seeds": seeds,
         "resolved_config": resolved_path.name,
         "runs": runs,
@@ -282,7 +308,13 @@ def cmd_check_obedience(args) -> int:
     return 0 if report.obedient else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call in a process and shared by every later one.
+
+    ``parse_args`` keeps no state between calls: each call gets a fresh
+    namespace, and ``--seed`` appends to a new list, since its default is None.
+    """
     parser = argparse.ArgumentParser(
         prog="routegame",
         description="Repeated routing game with partial route recommendations")
@@ -300,21 +332,23 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"output directory (env {OUT_DIR_ENV} overrides)")
     sim.add_argument("--emit-envelope", action="store_true",
                      help="append forecast-error envelope columns to the CSVs")
-    sim.set_defaults(func=cmd_simulate)
 
     chk = sub.add_parser("check-obedience", help="test a signal's obedience condition")
     chk.add_argument("--config", required=True, help="path to the YAML config")
     chk.add_argument("--tol", type=float, default=None,
                      help="slack tolerance (default: the config's solver_tol)")
     chk.add_argument("--json", action="store_true", help="print the report as JSON")
-    chk.set_defaults(func=cmd_check_obedience)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one CLI command; any number of calls may share a process and its one parser."""
     args = _build_parser().parse_args(argv)
+    # The command is looked up by name at each call, not bound into the shared
+    # parser, so a function rebound on this module (a tracer's wrapper) is the one run.
+    command = cmd_simulate if args.command == "simulate" else cmd_check_obedience
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigurationError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

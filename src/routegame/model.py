@@ -35,35 +35,54 @@ INPUT_TOL = 1e-12   # simplex tolerance for validated inputs
 OUTPUT_TOL = 1e-10  # simplex tolerance for computed flows
 
 
-def _holds_bool(value) -> bool:
-    """Whether a boolean is ``value`` or an entry of it, at any depth of lists, tuples and arrays.
+_BOOLS = frozenset((bool, np.bool_))
+_STRINGS = frozenset((str, bytes, np.str_, np.bytes_))
+_NESTED = (list, tuple, np.ndarray)
 
-    Each list's element types are gathered in one pass in C, so the walk
-    makes a Python call per nested sequence, not per entry; an array is
-    read by its dtype.
+
+def _non_number(value):
+    """``bool`` or ``str`` if ``value`` or an entry of it at any depth is one, else None.
+
+    Each list's element types are gathered in one pass in C and serve both
+    tests, so the walk makes a Python call per nested sequence, not per
+    entry; an array is read by its dtype.
     """
     if isinstance(value, np.ndarray):
-        return value.dtype.kind == "b" or value.dtype.kind == "O" and _holds_bool(value.tolist())
+        kind = value.dtype.kind
+        if kind == "O":
+            return _non_number(value.tolist())
+        return bool if kind == "b" else str if kind in "SU" else None
     if not isinstance(value, (list, tuple)):
-        return isinstance(value, (bool, np.bool_))
+        return (bool if isinstance(value, (bool, np.bool_)) else
+                str if isinstance(value, (str, bytes)) else None)
     kinds = set(map(type, value))
-    return (bool in kinds or np.bool_ in kinds
-            or not kinds.isdisjoint((list, tuple, np.ndarray)) and any(map(_holds_bool, value)))
+    if not kinds.isdisjoint(_BOOLS):
+        return bool
+    if not kinds.isdisjoint(_STRINGS):
+        return str
+    if kinds.isdisjoint(_NESTED):
+        return None
+    return next(filter(None, map(_non_number, value)), None)
 
 
 def _readonly(a, name: str) -> np.ndarray:
     """``a`` as a read-only float array.
 
     A boolean entry is not a number here, though numpy would read it as 1.0
-    or 0.0.  A list that holds itself, as a YAML alias can make one, is not
-    an array: its walk runs out of recursion depth.
+    or 0.0, nor is a string, though numpy would read one that spells a
+    number as that number: a scalar argument is not read from a string
+    either (``errors._real``).  A list that holds itself, as a YAML alias
+    can make one, is not an array: its walk runs out of recursion depth.
     """
     try:
-        arr = None if _holds_bool(a) else np.array(a, dtype=float)
+        stray = _non_number(a)
+        arr = None if stray else np.array(a, dtype=float)
     except (TypeError, ValueError, RecursionError) as exc:  # ragged nesting or a non-number
         raise ConfigurationError(f"{name} must be a rectangular array of numbers: {exc}") from None
-    if arr is None:
+    if stray is bool:
         raise ConfigurationError(f"{name} must hold numbers, got a boolean")
+    if stray is str:
+        raise ConfigurationError(f"{name} must be a rectangular array of numbers, got a string")
     arr.setflags(write=False)
     return arr
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import copy
 import csv
 import json
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,13 @@ def self_containing_list() -> list:
     selfish = []
     selfish.append(selfish)
     return selfish
+
+
+def holds_a_string(value) -> bool:
+    """Whether a string is ``value``, or a value of a mapping or an entry of a list in it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, str) or isinstance(value, list) and any(map(holds_a_string, value))
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -177,14 +186,20 @@ class TestLoadConfig:
         ("rounds: 1e2", "rounds", 100),
         ("scenario: {discounted: 9e-1}", "scenario", Scenario.discounted(0.9)),
         ("estimator: {luenberger: [1e-3, 0]}", "estimator", LuenbergerSpec((0.001, 0.0))),
+        # and so is one at any depth of an array key's lists
+        ("prior: [0.6, 4e-1]", "prior.mu0", [0.6, 0.4]),
+        ("disobedience: [[0, 1e+0], [1e0, 0]]", "disobedience.matrix", [[0.0, 1.0], [1.0, 0.0]]),
     ])
     def test_number_spelled_without_a_dot(self, tmp_path, line, field, value):
         # YAML 1.1 reads an exponent written without a dot as a string
         key = line.partition(":")[0]
-        assert isinstance(yaml.safe_load(line)[key], (str, dict))
+        assert holds_a_string(yaml.safe_load(line)[key])
         target = tmp_path / "config.yaml"
-        target.write_text(PAPER_CONFIG.read_text().replace("rounds: 5000\n", "") + line + "\n")
-        got = getattr(load_config(target), field)
+        text = re.sub(rf"^{key}: .*\n", "", PAPER_CONFIG.read_text(), flags=re.M)
+        target.write_text(text + line + "\n")
+        got = attrgetter(field)(load_config(target))
+        if isinstance(got, np.ndarray):
+            got = got.tolist()
         assert got == value and type(got) is type(value)
 
     def test_beta_checked_under_the_observer(self, tmp_path, capsys):
@@ -565,6 +580,10 @@ class TestCheckObedienceCommand:
          "coefficient of degree >= 1"),
         ("coeffs", [[[5, 25], [20, 15]]],
          "error: need at least one state and degree >= 1, got shape (1, 2, 2)"),
+        # a string that spells no number stays a string, which no array holds
+        ("prior", [0.6, "x"], "prior must be a rectangular array of numbers, got a string"),
+        ("coeffs", [[[5, 25], [20, 15]], [[4, 2], [1, "2e"]]],
+         "latency coefficients must be a rectangular array of numbers, got a string"),
     ])
     def test_malformed_array_exit_one(self, tmp_path, capsys, field, value, message):
         path = write_config(tmp_path, **{field: value})
@@ -648,6 +667,68 @@ class TestCheckObedienceCommand:
         rc = main(["check-obedience", "--config", str(bad)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process, and no call carries state into the next."""
+
+    def test_simulate_flags_do_not_carry_over(self, tmp_path, capsys):
+        base = ["simulate", "--config", str(PAPER_CONFIG), "--rounds", "20"]
+        swept, plain, fresh = tmp_path / "swept", tmp_path / "plain", tmp_path / "fresh"
+        assert main([*base, "--seed", "1", "--seed", "2", "--emit-envelope",
+                     "--out", str(swept)]) == 0
+        assert sorted(p.name for p in swept.glob("*.csv")) == ["run000_seed1.csv",
+                                                               "run001_seed2.csv"]
+        assert main([*base, "--out", str(plain)]) == 0
+        assert [p.name for p in plain.glob("*.csv")] == ["run000_seed0.csv"]
+        with open(plain / "run000_seed0.csv") as fh:
+            assert next(csv.reader(fh))[-1] == "flow_gap"
+        # the same call, made first in a fresh process, writes the same bytes
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        env.pop("ROUTEGAME_OUT", None)
+        done = subprocess.run([sys.executable, "-m", "routegame.cli", *base, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        for name in ("run000_seed0.csv", "resolved_config.yaml"):
+            assert (plain / name).read_bytes() == (fresh / name).read_bytes()
+
+        def manifest(out: Path) -> dict:
+            data = json.loads((out / "manifest.json").read_text())
+            for run in data["runs"]:
+                del run["wall_clock_s"]
+            return data
+        assert manifest(plain) == manifest(fresh)
+
+    def test_tolerance_flag_does_not_carry_over(self, tmp_path, capsys):
+        path = write_config(tmp_path, solver_tol=1e-6)
+
+        def reported_tol(*flags) -> float:
+            assert main(["check-obedience", "--config", str(path), "--json", *flags]) == 0
+            return json.loads(capsys.readouterr().out)["tol"]
+
+        assert reported_tol("--tol", "0.5") == 0.5
+        assert reported_tol() == 1e-6
+        # a usage error exits from parse_args and leaves the shared parser as it was
+        with pytest.raises(SystemExit) as info:
+            main(["check-obedience", "--config", str(path), "--tol", "half"])
+        assert info.value.code == 2
+        assert reported_tol() == 1e-6
+        assert reported_tol("--tol", "1e-3") == 1e-3
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        per_call = []
+        for _ in range(2):
+            assert main(["check-obedience", "--config", str(PAPER_CONFIG)]) == 0
+            per_call.append(len(built) - sum(per_call))
+        assert per_call[1] == 0
 
 
 # What a fuzzed key or array entry becomes: numbers at and past the edges of a

@@ -410,6 +410,22 @@ class TestValidation:
          "observer gain must be a number, got True"),
         (LuenbergerSpec, {"gain": 0.5}, ConfigurationError,
          "observer gain must be a list of numbers, got 0.5"),
+        # nor is a string, though numpy reads one that spells a number as that number, just
+        # as a scalar is not read from one: at any depth, as numpy's str_ or bytes_, in an
+        # object array, or as an array's dtype
+        *[(constructor, kwargs, ConfigurationError,
+           f"{name} must be a rectangular array of numbers, got a string")
+          for constructor, name, kwargs in [
+              (Prior, "prior", {"mu0": ["0.6", "0.4"]}),
+              (Prior, "prior", {"mu0": np.array(["0.6", "0.4"])}),
+              (Prior, "prior", {"mu0": (0.6, np.bytes_(b"0.4"))}),
+              (Signal, "signal", {"pi": [["0.5", "0"], ["0", "0.5"]], "nu": 0.5}),
+              (Signal, "signal", signal_with(np.str_("0"))),
+              (LatencyModel, "latency coefficients", coeffs_with(2, "0.5")),
+              (DisobedienceMatrix, "disobedience matrix",
+               {"matrix": np.array([[0.0, "1"], [1.0, 0.0]], dtype=object)}),
+              (DisobedienceMatrix, "disobedience matrix", {"matrix": "1"}),
+          ]],
     ])
     def test_check_table(self, constructor, kwargs, exc_type, message):
         with pytest.raises(ConfigurationError) as info:
