@@ -1,10 +1,15 @@
 """Config loading, command dispatch, and report/trajectory export.
 
 The config file is a single YAML document whose keys mirror the run config.
-``simulate`` writes its flags into the file's settings under the same keys and
-then validates the result once, so a flag is checked exactly as the file value
-it replaces.  The fully resolved config is dumped next to the outputs so every
-run is reproducible from its artifacts alone.
+It is read by ``_Loader``, PyYAML's safe loader with two changes: a plain
+number spelled ``1.25``, ``-3.``, ``2.5e-3`` or ``42`` is read in one step
+rather than through PyYAML's per-scalar resolver and constructor, to the same
+value (every other spelling keeps PyYAML's YAML 1.1 reading), and a mapping
+that gives a key twice is a ``ConfigurationError`` that names the key and its
+line.  ``simulate`` writes its flags into the file's settings under the same
+keys and then validates the result once, so a flag is checked exactly as the
+file value it replaces.  The fully resolved config is dumped next to the
+outputs so every run is reproducible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -54,9 +60,77 @@ _PLAIN_NUMBERS = frozenset((int, float))  # the entry types YAML gives a list of
 # libyaml's loader and dumper when PyYAML was built with it; they read and
 # write the same documents as the pure-Python classes, several times faster.
 if yaml.__with_libyaml__:
-    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+    _SafeLoader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
-    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+    _SafeLoader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+# The plain spellings of a float and an int that ``_Loader`` reads in one step.
+# Each is a strict subset of the spellings that PyYAML's own resolvers give
+# that tag, and on each PyYAML's constructor returns float(text) or int(text).
+# ASCII digits only, no underscore, no sexagesimal ":", an exponent only after
+# a dot and with a sign, and no leading zero on an int, so that octal, hex,
+# binary, .inf and .nan take PyYAML's own path.
+_PLAIN_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+_PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _OneStepTag(str):
+    """A standard tag that ``_Loader.resolve`` gave a plain number it will read in one step.
+
+    It equals the standard tag, so the rest of PyYAML sees that tag, and
+    ``construct_object`` tells it from an explicit ``!!float`` by identity.
+    """
+
+
+_FLOAT_TAG = _OneStepTag("tag:yaml.org,2002:float")
+_INT_TAG = _OneStepTag("tag:yaml.org,2002:int")
+
+
+class _Loader(_SafeLoader):
+    """The safe loader, with plain numbers read in one step and repeated keys rejected.
+
+    A plain scalar that ``_PLAIN_FLOAT`` or ``_PLAIN_INT`` matches whole is
+    resolved and built without PyYAML's per-scalar resolver loop and
+    constructor; it loads to the object PyYAML gives it, ``-0.0`` included.
+    Every other node, quoted and explicitly tagged scalars included, takes
+    PyYAML's own path.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            if _PLAIN_FLOAT.fullmatch(value):
+                return _FLOAT_TAG
+            if _PLAIN_INT.fullmatch(value):
+                return _INT_TAG
+        return super().resolve(kind, value, implicit)
+
+    def construct_object(self, node, deep=False):
+        tag = node.tag
+        if tag is _FLOAT_TAG:
+            return float(node.value)
+        if tag is _INT_TAG:
+            return int(node.value)
+        return super().construct_object(node, deep=deep)
+
+    def construct_mapping(self, node, deep=False):
+        """The mapping, or a ``ConfigurationError`` naming a key it gives twice and its line.
+
+        Merge keys (``<<``) keep their meaning: a key of the mapping itself
+        overrides a merged one, and only its own keys must differ.
+        """
+        if not isinstance(node, yaml.MappingNode):  # PyYAML raises its own error
+            return super().construct_mapping(node, deep=deep)
+        own = [key for key, _ in node.value if key.tag != _MERGE_TAG]
+        mapping = super().construct_mapping(node, deep=deep)  # merges in the merged keys
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise ConfigurationError(f"key {key!r} is given twice, the second time "
+                                         f"on line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
 
 
 def _parse_file(path) -> dict:
@@ -65,6 +139,9 @@ def _parse_file(path) -> dict:
             raw = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from exc
+    except ConfigurationError as exc:  # a key given twice
+        exc.args = (f"{path}: {exc}",)
+        raise
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a mapping of config keys")
     unknown = [key for key in raw if key not in _KEYS]
@@ -206,7 +283,14 @@ def load_config(path) -> GameConfig:
 
 
 def config_to_dict(config: GameConfig) -> dict:
-    """Canonical resolved form: every field explicit, plain lists and scalars."""
+    """Canonical resolved form: every field explicit, plain lists and scalars.
+
+    It stands for the run, not for the file: loaded again it gives a config
+    that makes the same run, while a value the run does not read is written
+    as the one the loader would fill in.  Under the observer the smoothing
+    weight is unused, so the form writes ``beta: 0.5`` whatever the file
+    gave.
+    """
     if config.scenario.kind == "discounted":
         scenario: object = {"discounted": config.scenario.discount}
     else:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
+import importlib.util
 import json
 import logging
 import math
@@ -13,6 +15,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from unittest import mock
 from operator import attrgetter
 from pathlib import Path
 
@@ -218,11 +221,11 @@ class TestLoadConfig:
 
 
 def parity_config(name: str, tmp_path: Path) -> Path:
-    """A shipped config, or a generated n = 32 cubic file in flow style."""
-    if name != "cubic_n32":
+    """A shipped config, or a generated cubic file in flow style (``cubic_n32``, ``cubic_n128``)."""
+    if not name.startswith("cubic_n"):
         return REPO / "configs" / f"{name}.yaml"
-    target = tmp_path / "cubic_n32.yaml"
-    target.write_text(yaml.safe_dump(config_to_dict(cubic_config(n=32)),
+    target = tmp_path / f"{name}.yaml"
+    target.write_text(yaml.safe_dump(config_to_dict(cubic_config(n=int(name[len("cubic_n"):]))),
                                      default_flow_style=None, sort_keys=False))
     return target
 
@@ -230,7 +233,8 @@ def parity_config(name: str, tmp_path: Path) -> Path:
 @pytest.mark.parametrize("name", ["paper_affine", "paper_affine_nu1", "cubic_n32"])
 class TestYamlParity:
     def test_loader_matches_pure_python(self, name, tmp_path, monkeypatch):
-        assert cli._Loader is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+        assert issubclass(cli._Loader,
+                          yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
         path = parity_config(name, tmp_path)
         selected = config_digest(load_config(path))
         monkeypatch.setattr(cli, "_Loader", yaml.SafeLoader)
@@ -243,6 +247,178 @@ class TestYamlParity:
         expected = yaml.safe_dump(config_to_dict(replace(load_config(path), rounds=1)),
                                   sort_keys=False)
         assert (out / "resolved_config.yaml").read_text() == expected
+
+
+@functools.cache
+def cli_without_libyaml():
+    """``routegame.cli`` as it loads where PyYAML has no libyaml: its ``_Loader`` subclasses
+    ``yaml.SafeLoader``.  A second copy of the module; ``routegame.cli`` is left as it is."""
+    spec = importlib.util.spec_from_file_location("routegame._cli_without_libyaml", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(yaml, "__with_libyaml__", False):
+        spec.loader.exec_module(module)
+    return module
+
+
+def one_step_and_stock_loaders() -> list[tuple[type, type]]:
+    """``cli._Loader`` over each parser PyYAML has here, each paired with the stock loader."""
+    pairs = [(cli_without_libyaml()._Loader, yaml.SafeLoader)]
+    if yaml.__with_libyaml__:
+        pairs.append((cli._Loader, yaml.CSafeLoader))
+    return pairs
+
+
+def typed(value):
+    """``value`` as nested (type, repr) pairs, so that -0.0 and 0.0, 1 and 1.0, and nan compare."""
+    if isinstance(value, dict):
+        return "dict", [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return "list", [typed(v) for v in value]
+    return type(value).__name__, repr(value)
+
+
+def loaded(loader: type, text: str):
+    """What ``loader`` makes of ``text``: its typed value, or the error it raises."""
+    try:
+        return typed(yaml.load(text, Loader=loader))
+    except Exception as exc:  # an explicit !!int on a float raises ValueError, not a YAMLError
+        return "error", type(exc).__name__, str(exc)
+
+
+# Characters of a generated number: ASCII digits most often, then an underscore
+# and two digits that are not ASCII (Arabic-Indic three, fullwidth one).
+NUMBER_CHARS = st.sampled_from("0123456789" * 3 + "_\u0663\uff11")
+
+
+@st.composite
+def number_spellings(draw) -> str:
+    """A plain scalar shaped like a YAML 1.1 number: a decimal with or without a dot and a
+    signed or unsigned exponent, a 0x/0b/0o radix, or a sexagesimal number."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    whole = draw(st.text(NUMBER_CHARS, max_size=4))
+    form = draw(st.sampled_from(["decimal", "decimal", "decimal", "radix", "sexagesimal"]))
+    if form == "radix":
+        prefix = draw(st.sampled_from(["0x", "0b", "0o", "0X"]))
+        return sign + prefix + draw(st.text(st.sampled_from("0123456789abcdefABCDEF_"),
+                                            min_size=1, max_size=4))
+    if form == "sexagesimal":
+        minutes = draw(st.text(NUMBER_CHARS, min_size=1, max_size=2))
+        return sign + whole + ":" + minutes + draw(st.sampled_from(["", ".5", "."]))
+    dot = draw(st.sampled_from(["", ".", "."]))
+    fraction = draw(st.text(NUMBER_CHARS, max_size=4)) if dot else ""
+    exponent = ""
+    if draw(st.booleans()):
+        exponent = (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "-", "+"]))
+                    + draw(st.text(NUMBER_CHARS, min_size=1, max_size=3)))
+    return sign + whole + dot + fraction + exponent or "0"
+
+
+# YAML 1.1's other plain scalars that start like a number or stand for one.
+OTHER_SCALARS = [".inf", "-.inf", "+.Inf", ".NaN", ".nan", "~", "null", "true", "False",
+                 "yes", "Off", "2001-12-14", "omega1", ".", "-0", "+0.0", "-0.0", "0.0"]
+
+
+@st.composite
+def scalar_texts(draw) -> str:
+    """A generated scalar as a document writes it: plain, quoted, or with an explicit tag.
+
+    ``!!float`` tags only a number's spelling and ``!!int`` only an integer's, where most
+    of them load, so that few documents fail as a whole.
+    """
+    form = draw(st.sampled_from(["plain"] * 6 + ["quoted", "!!float", "!!int", "other tag"]))
+    if form == "!!int":
+        return "!!int " + draw(st.from_regex(r"[-+]?[0-9]{1,3}", fullmatch=True))
+    text = draw(number_spellings() if form == "!!float" else
+                number_spellings() | st.sampled_from(OTHER_SCALARS))
+    if form == "quoted":
+        return draw(st.sampled_from(["'{}'", '"{}"'])).format(text)
+    if form == "other tag":
+        return draw(st.sampled_from(["!!str", "!"])) + " " + text
+    return ("!!float " if form == "!!float" else "") + text
+
+
+@st.composite
+def documents(draw) -> str:
+    """A config-shaped document of generated scalars: a ``states`` list in flow or block
+    style, nested flow lists, anchors and aliases, a merge key and a scalar used as a key."""
+    def items() -> list[str]:
+        return draw(st.lists(scalar_texts(), min_size=1, max_size=3))
+
+    def one() -> str:
+        return draw(scalar_texts())
+
+    if draw(st.booleans()):
+        lines = [f"states: [{', '.join(items())}]"]
+    else:
+        lines = ["states:"] + [f"  - {s}" for s in items()]
+    lines += [
+        f"rows: &rows [[{', '.join(items())}], [{one()}]]",
+        "again: *rows",
+        f"one: &one {one()}",
+        "twice: [*one, *one]",
+        f"merged: {{<<: {{x: {one()}, y: {one()}}}, x: {one()}}}",
+        f"{one()}: a scalar key",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestOneStepLoader:
+    """``cli._Loader`` reads each plain number in one step, to what the stock loader reads."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(text=documents())
+    @example(text="x: [-0.0, 0.0, 1, 1.0, -0, 1.e+5, 1e5, 1.0e5, 010, 0x1f, 1_000.5, 1:30, "
+                  ".inf, .nan, ~, true, '1.5', !!float 1, !!str 1.5, \u0663.5]\n")
+    @example(text="x: !!map abc\n")  # a mapping tag on a scalar: PyYAML's own error
+    def test_loads_what_the_stock_loader_loads(self, text):
+        for ours, stock in one_step_and_stock_loaders():
+            assert loaded(ours, text) == loaded(stock, text)
+
+    def test_without_libyaml_subclasses_the_pure_python_loader(self):
+        loader = cli_without_libyaml()._Loader
+        assert issubclass(loader, yaml.SafeLoader) and not issubclass(loader, yaml.CSafeLoader)
+
+    @pytest.mark.parametrize("name", ["paper_affine", "paper_affine_nu1", "cubic_n32",
+                                      "cubic_n128"])
+    def test_every_loader_gives_one_digest(self, name, tmp_path, monkeypatch):
+        path = parity_config(name, tmp_path)
+        digests = {config_digest(cli_without_libyaml().load_config(path))}
+        for loader in (cli._Loader, yaml.SafeLoader, cli._SafeLoader):
+            monkeypatch.setattr(cli, "_Loader", loader)
+            digests.add(config_digest(load_config(path)))
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("line, key, at", [
+        ("nu: 0.9", "nu", 19),          # nu: 0.5 is on line 11
+        ("rounds: 50", "rounds", 19),   # would silently change the run length
+        ("estimator: {luenberger: 0, luenberger: 1}", "luenberger", 19),
+    ])
+    def test_key_given_twice_is_an_error(self, tmp_path, capsys, line, key, at):
+        path = tmp_path / "twice.yaml"
+        path.write_text(PAPER_CONFIG.read_text() + line + "\n")
+        message = f"{path}: key {key!r} is given twice, the second time on line {at}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_config(path)
+        assert main(["check-obedience", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_nested_key_given_twice_in_block_style(self, tmp_path):
+        path = tmp_path / "twice.yaml"
+        path.write_text(PAPER_CONFIG.read_text() + "scenario:\n  discounted: 0.5\n"
+                        "  discounted: 0.9\n")
+        with pytest.raises(ConfigurationError, match="key 'discounted' is given twice, "
+                                                     "the second time on line 21"):
+            load_config(path)
+
+    def test_merge_keys_keep_their_meaning(self, tmp_path):
+        # a key of the mapping overrides the merged one, and two merges may share a key
+        path = tmp_path / "merged.yaml"
+        path.write_text(PAPER_CONFIG.read_text() + "scenario: {<<: [{discounted: 0.5}, "
+                        "{discounted: 0.7}], <<: {discounted: 0.8}, discounted: 0.9}\n")
+        assert load_config(path).scenario == Scenario.discounted(0.9)
+        text = "base: &b {x: 1, y: 2.5}\nover: {<<: *b, x: 3}\n"
+        assert yaml.load(text, Loader=cli._Loader) == {"base": {"x": 1, "y": 2.5},
+                                                       "over": {"x": 3, "y": 2.5}}
 
 
 class TestDigest:
@@ -312,6 +488,23 @@ class TestSimulateCommand:
         # resolved dump must itself be a loadable config with the same digest
         resolved = load_config(out / manifest["resolved_config"])
         assert config_digest(resolved) == manifest["config_digest"]
+
+    @pytest.mark.parametrize("scenario", ["baseline", "discounted=0.9", "dynamic-nu"])
+    @pytest.mark.parametrize("estimator", ["smoothing", "luenberger=0.01"])
+    def test_resolved_config_reproduces_the_run(self, tmp_path, scenario, estimator):
+        # it stands for the run, not the file: the observer reads no beta, so 0.6 is not kept
+        path = write_config(tmp_path, beta=0.6)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["simulate", "--config", str(path), "--rounds", "60", "--seed", "2",
+                     "--scenario", scenario, "--estimator", estimator, "--out", str(first)]) == 0
+        resolved = first / "resolved_config.yaml"
+        assert yaml.safe_load(resolved.read_text())["beta"] == (
+            0.6 if estimator == "smoothing" else 0.5)
+        assert main(["simulate", "--config", str(resolved), "--seed", "2",
+                     "--out", str(again)]) == 0
+        csv_name = "run000_seed2.csv"
+        assert (again / csv_name).read_bytes() == (first / csv_name).read_bytes()
+        assert resolved.read_bytes() == (again / "resolved_config.yaml").read_bytes()
 
     def test_three_link_schema(self, tmp_path):
         import numpy as np
