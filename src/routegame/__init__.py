@@ -1,6 +1,6 @@
 """Repeated parallel-link routing game with partial route recommendations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .dynamics import (SimulationState, Trajectory, TrajectoryRecord, calibration_score,
                        initial_state, simulate, step, write_trajectory_csv)

@@ -32,29 +32,25 @@ from .dynamics import simulate, write_trajectory_csv
 from .equilibrium import check_obedience
 from .errors import ConfigurationError, SignalRowError, SolverError
 from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
-from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
-                    _integer)
+from .model import DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal
 
 OUT_DIR_ENV = "ROUTEGAME_OUT"
 
 # Every config key: the kind of value it takes, and whether a file must give it.
-# ``_convert`` reads YAML's spellings of ``int``, ``float`` and "numbers" (an
-# array or list of numbers, nested to any depth); "labels" go to their model
+# ``_convert`` reads YAML's spellings of ``int``, ``float`` and "numbers" (a
+# number, or a list of numbers nested to any depth); "labels" go to their model
 # type as they are, and "whole" is a scenario or estimator that its own parser
 # reads whole.  The model types check every value.
 _KEYS = {
     "states": ("labels", True), "coeffs": ("numbers", True), "prior": ("numbers", True),
     "nu": (float, True), "signal": ("numbers", True), "disobedience": ("numbers", False),
-    "links": (int, False), "degree": (int, False),
-    "beta": (float, False), "beta_schedule": ("numbers", False),
-    "scenario": ("whole", False), "estimator": ("whole", False),
+    "beta": ("numbers", False), "scenario": ("whole", False), "estimator": ("whole", False),
     "m_max": (float, False), "m_init": (float, False),
-    "theta_hat_init": (float, False), "beta_min": (float, False), "beta_max": (float, False),
+    "theta_hat_init": (float, False), "beta_min": (float, False),
     "solver_tol": (float, False), "rounds": (int, False), "seed": (int, False),
 }
 # The keys that GameConfig takes under their own names, read and written as they are.
-_OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol",
-               "rounds", "seed")
+_OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "beta_min", "solver_tol", "rounds", "seed")
 _PLAIN_NUMBERS = frozenset((int, float))  # the entry types YAML gives a list of numbers
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
@@ -142,6 +138,8 @@ def _parse_file(path) -> dict:
     except ConfigurationError as exc:  # a key given twice
         exc.args = (f"{path}: {exc}",)
         raise
+    except ValueError as exc:  # a tagged or overlong scalar that int() or float() rejects
+        raise ConfigurationError(f"{path}: parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a mapping of config keys")
     unknown = [key for key in raw if key not in _KEYS]
@@ -237,10 +235,6 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
         values = {key: _convert(_KEYS[key][0], value) for key, value in raw.items()}
 
         latency = LatencyModel(states=values["states"], coeffs=values["coeffs"])
-        for key, described in (("links", latency.n), ("degree", latency.degree)):
-            if key in values and _integer(values[key], key) != described:
-                raise ConfigurationError(
-                    f"{key}={values[key]} but coeffs describe {key}={described}")
         try:
             signal = Signal(pi=values["signal"], nu=values["nu"])
         except SignalRowError as exc:  # name the row by its state
@@ -251,12 +245,10 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
         else:
             disobedience = DisobedienceMatrix.default(latency.n)
 
-        if "beta" in values and "beta_schedule" in values:
-            raise ConfigurationError("give either beta or beta_schedule, not both")
         # the weights are checked under the observer too: --estimator smoothing reads them
         schedule = SmoothingSpec().schedule
-        if "beta_schedule" in values:
-            schedule = BetaSchedule.from_sequence(values["beta_schedule"])
+        if isinstance(values.get("beta"), list):
+            schedule = BetaSchedule.from_sequence(values["beta"])
         elif "beta" in values:
             schedule = BetaSchedule.constant(values["beta"])
         estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n)
@@ -297,14 +289,11 @@ def config_to_dict(config: GameConfig) -> dict:
         scenario = config.scenario.kind
     if isinstance(config.estimator, LuenbergerSpec):
         estimator: object = {"luenberger": list(config.estimator.gain)}
-        beta_keys = {"beta": 0.5}
+        beta: object = 0.5
     else:
         estimator = "smoothing"
         schedule = config.estimator.schedule
-        if schedule.values is not None:
-            beta_keys = {"beta_schedule": list(schedule.values)}
-        else:
-            beta_keys = {"beta": schedule.value}
+        beta = schedule.value if schedule.values is None else list(schedule.values)
     return {
         "states": list(config.latency.states),
         "coeffs": config.latency.coeffs.tolist(),
@@ -312,7 +301,7 @@ def config_to_dict(config: GameConfig) -> dict:
         "nu": config.signal.nu,
         "signal": config.signal.pi.tolist(),
         "disobedience": config.disobedience.matrix.tolist(),
-        **beta_keys,
+        "beta": beta,
         "scenario": scenario,
         "estimator": estimator,
         **{key: getattr(config, key) for key in _OWN_FIELDS},

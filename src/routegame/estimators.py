@@ -39,9 +39,9 @@ class BetaSchedule:
             object.__setattr__(self, "value", _real(self.value, "beta"))
         elif isinstance(self.values, (list, tuple, np.ndarray)):
             object.__setattr__(self, "values",
-                               tuple(_real(b, "beta_schedule entry") for b in self.values))
+                               tuple(_real(b, "beta entry") for b in self.values))
         else:  # None too: a schedule needs one of the two
-            raise ConfigurationError(f"beta_schedule must be a list of numbers, got {self.values!r}")
+            raise ConfigurationError(f"beta must be a list of numbers, got {self.values!r}")
         for b in (self.values if self.values is not None else (self.value,)):
             if not 0.0 < b < 1.0:
                 raise ConfigurationError(f"smoothing weight {b} outside (0, 1)")
@@ -63,11 +63,12 @@ class BetaSchedule:
         """
         return self.value if self.values is None else self.values[t - 2]
 
-    def check_bounds(self, beta_min: float, beta_max: float) -> None:
+    def check_bounds(self, beta_min: float) -> None:
+        """Each weight lies in (beta_min, 1), the range over which the envelope holds."""
         for b in (self.values if self.values is not None else (self.value,)):
-            if not beta_min < b < beta_max:
+            if b <= beta_min:  # b < 1 holds by construction
                 raise ConfigurationError(
-                    f"smoothing weight {b} not strictly inside ({beta_min}, {beta_max})")
+                    f"smoothing weight {b} not strictly inside ({beta_min}, 1)")
 
 
 @dataclass(frozen=True)

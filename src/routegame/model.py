@@ -334,7 +334,6 @@ class GameConfig:
     m_init: float = 0.0
     theta_hat_init: float = 0.0
     beta_min: float = 0.3
-    beta_max: float = 0.7
     scenario: Scenario = field(default_factory=Scenario.baseline)
     estimator: SmoothingSpec | LuenbergerSpec = field(default_factory=SmoothingSpec)
     solver_tol: float = 1e-8
@@ -343,7 +342,7 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         # each scalar is stored as a Python float or int, whatever numeric type it came as
-        for name in ("m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol"):
+        for name in ("m_init", "theta_hat_init", "beta_min", "solver_tol"):
             if type(getattr(self, name)) is not float:
                 object.__setattr__(self, name, _real(getattr(self, name), name))
         for name in ("rounds", "seed"):
@@ -374,9 +373,8 @@ class GameConfig:
         if not -m_max <= self.m_init <= m_max:  # NaN fails too
             raise ConfigurationError(f"m_init={self.m_init} outside [-{m_max}, {m_max}]")
         _unit_interval(self.theta_hat_init, "theta_hat_init")
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
-            raise ConfigurationError(
-                f"need 0 < beta_min <= beta_max < 1, got ({self.beta_min}, {self.beta_max})")
+        if not 0.0 < self.beta_min < 1.0:  # NaN fails too
+            raise ConfigurationError(f"beta_min = {self.beta_min} outside (0, 1)")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         # Round k <= rounds folds the regret as (k m + u) / (k + 1).  After the
@@ -393,7 +391,7 @@ class GameConfig:
                 f"regret: (rounds + 1) * max(m_max, {default_cap}) must be finite")
         if isinstance(self.estimator, SmoothingSpec):
             schedule = self.estimator.schedule
-            schedule.check_bounds(self.beta_min, self.beta_max)
+            schedule.check_bounds(self.beta_min)
             if schedule.values is not None and len(schedule.values) < self.rounds:
                 raise ConfigurationError(
                     f"beta schedule has {len(schedule.values)} entries; "

@@ -4,6 +4,7 @@ import argparse
 import copy
 import csv
 import functools
+import hashlib
 import importlib.util
 import json
 import logging
@@ -25,8 +26,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routegame import (ConfigurationError, GameConfig, LuenbergerSpec, Scenario, check_obedience,
-                       cli, simulate)
+from routegame import (BetaSchedule, ConfigurationError, GameConfig, LuenbergerSpec, Scenario,
+                       check_obedience, cli, simulate)
 from routegame.cli import (config_digest, config_to_dict, load_config, main)
 
 from test_golden import cubic_config
@@ -74,18 +75,17 @@ class TestLoadConfig:
         assert cfg.solver_tol == 1e-8
         assert cfg.scenario == Scenario.baseline()
 
-    @pytest.mark.parametrize("key, value", [("rounds", 2.7), ("seed", 1.9), ("links", 2.5),
-                                            ("degree", 1.5), ("rounds", -0.5),
-                                            ("seed", float("inf")), ("links", float("nan"))])
+    @pytest.mark.parametrize("key, value", [("rounds", 2.7), ("seed", 1.9), ("rounds", -0.5),
+                                            ("seed", float("inf"))])
     def test_non_integral_integer_key_rejected(self, tmp_path, key, value):
-        # int() would truncate 2.7 to 2 rounds, and 2.5 links would pass as 2
+        # int() would truncate 2.7 to 2 rounds
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigurationError, match=f"{key} must be an integer, got {value}"):
             load_config(path)
 
-    @pytest.mark.parametrize("key", ["rounds", "seed", "links", "degree"])
+    @pytest.mark.parametrize("key", ["rounds", "seed"])
     def test_integral_float_is_an_integer(self, tmp_path, key):
-        value = {"rounds": 3.0, "seed": 4.0, "links": 2.0, "degree": 1.0}[key]
+        value = {"rounds": 3.0, "seed": 4.0}[key]
         cfg = load_config(write_config(tmp_path, **{key: value}))
         assert (cfg.rounds, cfg.seed) == (3 if key == "rounds" else 5000, 4 if key == "seed" else 0)
         assert isinstance(cfg.rounds, int) and isinstance(cfg.seed, int)
@@ -130,12 +130,13 @@ class TestLoadConfig:
             load_config(target)
 
     def test_cross_checks(self, tmp_path):
-        path = write_config(tmp_path, links=3)
-        with pytest.raises(ConfigurationError, match="links"):
-            load_config(path)
-        path = write_config(tmp_path, degree=2)
-        with pytest.raises(ConfigurationError, match="degree"):
-            load_config(path)
+        # coeffs alone give the number of links and the degree: a file that restates
+        # either names a removed key, even where the value agrees with coeffs
+        for key, value in (("links", 3), ("links", 2), ("degree", 2), ("degree", 1)):
+            path = write_config(tmp_path, **{key: value})
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"unknown config keys ['{key}']")):
+                load_config(path)
 
     def test_scenario_and_estimator_forms(self, tmp_path):
         path = write_config(tmp_path, scenario={"discounted": 0.9},
@@ -145,9 +146,16 @@ class TestLoadConfig:
         assert cfg.estimator == LuenbergerSpec(gain=(0.0, 0.0))
 
     def test_beta_schedule_exclusive(self, tmp_path):
-        path = write_config(tmp_path, beta=0.5, beta_schedule=[0.4, 0.5])
-        with pytest.raises(ConfigurationError, match="beta"):
-            load_config(path)
+        # a schedule is beta given as a list; beta_schedule and beta_max are removed keys
+        for key, extra in (("beta_schedule", {"beta": 0.5, "beta_schedule": [0.4, 0.5]}),
+                           ("beta_schedule", {"beta_schedule": [0.4, 0.5]}),
+                           ("beta_max", {"beta_max": 0.7})):
+            path = write_config(tmp_path, **extra)
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"unknown config keys ['{key}']")):
+                load_config(path)
+        cfg = load_config(write_config(tmp_path, beta=[0.4, 0.5, 0.99], rounds=3))
+        assert cfg.estimator.schedule == BetaSchedule.from_sequence([0.4, 0.5, 0.99])
 
     def test_flag_style_scenario_strings(self):
         from routegame.cli import _parse_scenario
@@ -212,10 +220,10 @@ class TestLoadConfig:
         assert capsys.readouterr().err == f"error: {path}: beta must be a number, got True\n"
 
     def test_beta_schedule_must_cover_rounds(self, tmp_path):
-        path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=10)
+        path = write_config(tmp_path, beta=[0.4, 0.5, 0.6], rounds=10)
         with pytest.raises(ConfigurationError, match="beta schedule has 3 entries"):
             load_config(path)
-        path = write_config(tmp_path, beta=None, beta_schedule=[0.4, 0.5, 0.6], rounds=3)
+        path = write_config(tmp_path, beta=[0.4, 0.5, 0.6], rounds=3)
         cfg = load_config(path)
         assert cfg.estimator.schedule.values == (0.4, 0.5, 0.6)
 
@@ -410,6 +418,23 @@ class TestOneStepLoader:
                                                      "the second time on line 21"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("rounds", "1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("rounds", "!!int 1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("seed", "!!float abc", "could not convert string to float: 'abc'"),
+    ], ids=["rounds-5000-digits", "rounds-int-1.5", "seed-float-abc"])
+    def test_value_yaml_cannot_construct_is_an_error(self, tmp_path, capsys, key, value, reason):
+        # int() or float() raises ValueError while the document is built, not a traceback
+        path = tmp_path / "unbuildable.yaml"
+        path.write_text(re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", PAPER_CONFIG.read_text()))
+        message = f"{path}: parse error: {reason}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_config(path)
+        assert main(["check-obedience", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_merge_keys_keep_their_meaning(self, tmp_path):
         # a key of the mapping overrides the merged one, and two merges may share a key
         path = tmp_path / "merged.yaml"
@@ -435,11 +460,13 @@ class TestDigest:
         # an int, a float and an np.float64 of one value give one config; so does its dump
         field, low, high = data.draw(st.sampled_from([
             ("m_max", 51, 10**6), ("m_init", -51, 51), ("theta_hat_init", 0, 1),
-            ("beta_min", 0.01, 0.49), ("beta_max", 0.51, 0.99), ("solver_tol", 1e-12, 10)]))
+            ("beta_min", 0.01, 0.49), ("solver_tol", 1e-12, 10)]))
         top = math.floor(high)
         ints = st.integers(math.ceil(low), top) if math.ceil(low) <= top else st.nothing()
         value = data.draw(st.one_of(ints, st.floats(low, high)))
-        forms = [float(value), np.float64(value)] + ([int(value)] if value == int(value) else [])
+        # -0.0 has no int form: int(-0.0) is 0, which is the value 0.0, not -0.0
+        same_int = value == int(value) and math.copysign(1.0, value) == 1.0
+        forms = [float(value), np.float64(value)] + ([int(value)] if same_int else [])
         base = load_config(PAPER_CONFIG)
         digests = {config_digest(replace(base, **{field: form})) for form in forms}
         assert len(digests) == 1
@@ -611,8 +638,22 @@ class TestSimulateCommand:
         assert resolved["estimator"] == "smoothing"
         assert resolved["beta"] == 0.6
 
+    def test_beta_list_writes_the_former_beta_schedule_bytes(self, tmp_path):
+        # the sha256 that the same run wrote, with its envelope, when the list was given as
+        # beta_schedule, the key that held a sequence of weights before beta took one
+        weights = [round(0.35 + 0.05 * (k % 7), 2) for k in range(300)]
+        path = tmp_path / "schedule.yaml"
+        path.write_text(re.sub(r"(?m)^rounds: .*$", "rounds: 300", PAPER_CONFIG.read_text())
+                        + f"beta: [{', '.join(map(str, weights))}]\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--emit-envelope"]) == 0
+        assert hashlib.sha256((out / "run000_seed0.csv").read_bytes()).hexdigest() == (
+            "eaac302da798b1de4896e591e371c9c14961ae07a4a5bc12d0bd93aa98dad85c")
+        assert yaml.safe_load((out / "resolved_config.yaml").read_text())["beta"] == weights
+
     def test_rounds_flag_checked_against_beta_schedule(self, tmp_path):
-        path = write_config(tmp_path, beta_schedule=[0.4, 0.5, 0.6, 0.5, 0.4])
+        path = write_config(tmp_path, beta=[0.4, 0.5, 0.6, 0.5, 0.4])
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--rounds", "4",
                      "--out", str(out)]) == 0
@@ -763,7 +804,7 @@ class TestCheckObedienceCommand:
         ("prior", [0.6, True], "prior must hold numbers, got a boolean"),
         ("disobedience", [[False, True], [True, False]],
          "disobedience matrix must hold numbers, got a boolean"),
-        ("beta_schedule", [0.5, True], "beta_schedule entry must be a number, got True"),
+        ("beta", [0.5, True], "beta entry must be a number, got True"),
         # safe_dump writes &id001 [*id001]; the walk must not escape as a RecursionError
         ("disobedience", self_containing_list(),
          "disobedience matrix must be a rectangular array of numbers: maximum recursion depth"),
@@ -812,10 +853,10 @@ class TestCheckObedienceCommand:
         ("scenario", {"discounted": False}, "scenario discount must be a number, got False"),
         # float() of an integer this large overflows
         ("m_max", 10**400, "m_max must be a number, got 1000"),
-        # BetaSchedule takes a list of numbers, not a scalar, a string or a nested list
-        ("beta_schedule", 0.5, "beta_schedule must be a list of numbers, got 0.5"),
-        ("beta_schedule", [0.5, "x"], "beta_schedule entry must be a number, got 'x'"),
-        ("beta_schedule", [[0.5], 0.5], "beta_schedule entry must be a number, got [0.5]"),
+        # beta is a number or a list of numbers, not a string or a nested list
+        ("beta", "x", "beta must be a number, got 'x'"),
+        ("beta", [0.5, "x"], "beta entry must be a number, got 'x'"),
+        ("beta", [[0.5], 0.5], "beta entry must be a number, got [0.5]"),
         # str() would make a label of any of these
         ("states", [None, [1, 2]], "states entries must be strings or numbers, got None"),
         ("states", ["omega1", [1, 2]], "states entries must be strings or numbers, got [1, 2]"),
@@ -833,11 +874,12 @@ class TestCheckObedienceCommand:
     def test_null_beta_schedule_exit_one(self, tmp_path, capsys):
         # write_config drops a None value, so the null is written as text
         target = tmp_path / "config.yaml"
-        target.write_text(PAPER_CONFIG.read_text() + "beta_schedule: null\n")
-        rc = main(["check-obedience", "--config", str(target)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {target}: beta_schedule must be a list of numbers, got None\n"
+        for line, message in (("beta: null", "beta must be a number, got None"),
+                              ("beta_schedule: null", "unknown config keys ['beta_schedule']")):
+            target.write_text(PAPER_CONFIG.read_text() + line + "\n")
+            rc = main(["check-obedience", "--config", str(target)])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {target}: {message}\n"
 
     @pytest.mark.parametrize("key", sorted(cli._KEYS))
     def test_null_under_any_key_exit_one(self, tmp_path, capsys, key):
@@ -988,7 +1030,7 @@ class TestFuzzedConfigs:
         assert config_digest(again) == config_digest(config)
 
     @pytest.mark.parametrize("changes", [{}, {"estimator": {"luenberger": 0.0}},
-                                         {"beta_schedule": [0.5] * 5, "rounds": 5}])
+                                         {"beta": [0.5] * 5, "rounds": 5}])
     def test_resolved_keys_are_config_keys(self, tmp_path, changes):
         resolved = config_to_dict(load_config(write_config(tmp_path, **changes)))
         assert set(resolved) <= set(cli._KEYS)

@@ -50,7 +50,7 @@ def equal_constant_config(**overrides) -> GameConfig:
     return GameConfig(**kwargs)
 
 
-class TestInstantaneousRegret:
+class TestPayoffGap:
     def test_two_link_expansion(self):
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
         u = payoff_gap(sig.pi[0], SWAP.matrix, np.array([7.0, 26.0]))
@@ -95,7 +95,7 @@ class TestInstantaneousRegret:
         assert np.float64(payoff_gap(pi_w, matrix, ell)).tobytes() == np.float64(want).tobytes()
 
 
-class TestRegretUpdate:
+class TestFoldRegret:
     def test_running_average_step(self):
         assert fold_regret(0.5, -1.9, 1, None) == pytest.approx(-0.7, abs=1e-15)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 
 from routegame import (BetaSchedule, ConfigurationError, Signal, SmoothingSpec, envelope_series,
                        simulate)
+from routegame.cli import load_config
 from routegame.dynamics import theta_of_m
 from routegame.estimators import observe, smooth
 from routegame.model import poly_rows
 
 from conftest import beta_weight, benchmark_config, delta_tilde
 from test_dynamics import skip_games
+
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
 
 
 def e_theta_envelope(k: int, e1: float, beta_min: float,
@@ -46,9 +51,14 @@ class TestBetaSchedule:
             BetaSchedule.constant(1.0)
         with pytest.raises(ConfigurationError):
             BetaSchedule.from_sequence([0.4, 0.0])
-        BetaSchedule.constant(0.5).check_bounds(0.3, 0.7)
-        with pytest.raises(ConfigurationError):
-            BetaSchedule.constant(0.3).check_bounds(0.3, 0.7)
+        # a weight lies in (beta_min, 1): any weight above beta_min, 0.99 included
+        for beta in (0.5, 0.7, 0.99):
+            BetaSchedule.constant(beta).check_bounds(0.3)
+        BetaSchedule.from_sequence([0.31, 0.99]).check_bounds(0.3)
+        with pytest.raises(ConfigurationError, match=re.escape("0.3 not strictly inside (0.3, 1)")):
+            BetaSchedule.constant(0.3).check_bounds(0.3)
+        with pytest.raises(ConfigurationError, match=re.escape("0.2 not strictly inside (0.3, 1)")):
+            BetaSchedule.from_sequence([0.5, 0.2]).check_bounds(0.3)
 
     def test_custom_indexing(self):
         # the first weight is beta(2): the envelope's center (1 - beta(2)) ... (1 - beta(k)) e1;
@@ -60,10 +70,10 @@ class TestBetaSchedule:
                                                       abs=1e-15)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: BetaSchedule.from_sequence(["a"]), "beta_schedule entry must be a number, got 'a'"),
+        (lambda: BetaSchedule.from_sequence(["a"]), "beta entry must be a number, got 'a'"),
         (lambda: BetaSchedule.from_sequence([0.4, [0.5]]),
-         "beta_schedule entry must be a number, got [0.5]"),
-        (lambda: BetaSchedule.from_sequence(0.5), "beta_schedule must be a list of numbers, got 0.5"),
+         "beta entry must be a number, got [0.5]"),
+        (lambda: BetaSchedule.from_sequence(0.5), "beta must be a list of numbers, got 0.5"),
         (lambda: BetaSchedule.constant("a"), "beta must be a number, got 'a'"),
         (lambda: BetaSchedule.constant([0.5]), "beta must be a number, got [0.5]"),
     ], ids=["sequence-string", "sequence-list", "sequence-scalar", "constant-string",
@@ -268,6 +278,22 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError,
                            match="^beta schedule has 3 entries, round 5 requested$"):
             envelope_series(5, 0.2, 0.3, schedule)
+
+    @pytest.mark.parametrize("schedule", [
+        BetaSchedule.constant(0.7),
+        BetaSchedule.constant(0.9),
+        BetaSchedule.from_sequence([0.31 + 0.17 * (k % 5) for k in range(2000)]),  # to 0.99
+    ], ids=["constant-0.7", "constant-0.9", "list-to-0.99"])
+    def test_containment_with_weights_up_to_one(self, schedule):
+        # each weight lies in (beta_min, 1); the envelope needs no upper bound below 1
+        cfg = replace(load_config(PAPER_CONFIG), rounds=2000, estimator=SmoothingSpec(schedule))
+        trajectory = simulate(cfg)
+        theta_hat = trajectory.theta_hat
+        assert np.all((theta_hat >= 0.0) & (theta_hat <= 1.0))
+        e = trajectory.e_theta
+        lower, upper = envelope_series(len(trajectory), e[0], cfg.beta_min,
+                                       cfg.estimator.schedule)
+        assert max(float(np.max(lower - e)), float(np.max(e - upper))) <= 1e-12
 
     def test_containment_on_simulated_run(self):
         cfg = benchmark_config(rounds=400)

@@ -63,7 +63,7 @@ def state_flows(signal: Signal, rerouting: DisobedienceMatrix, theta: float,
     return flows(signal.pi[w], rerouting_shift(rerouting.matrix, signal.pi[w]), theta)
 
 
-class TestEvalLatency:
+class TestPolyRowsLatencies:
     """Latencies from the kernel, and the check of the flows ``expected_latency`` takes."""
 
     def test_affine_state1_midpoint(self):
@@ -169,7 +169,7 @@ class TestMMaxDefault:
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
-    def test_bounds_instantaneous_regret_at_unit_mass(self, seed):
+    def test_bounds_payoff_gap_at_unit_mass(self, seed):
         rng = np.random.default_rng(seed)
         n, s = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         coeffs = rng.uniform(0.0, 5.0, size=(int(rng.integers(2, 5)), s, n))
@@ -199,7 +199,7 @@ class TestFlowMaps:
         sig = Signal(pi=[[0.3, 0.2]], nu=0.5)
         assert state_flows(sig, SWAP, 0.5, 0) == pytest.approx([0.25, 0.25], abs=1e-15)
 
-    def test_forecast_is_same_map(self):
+    def test_flows_of_compiled_rows_is_same_map(self):
         # the round loop's forecast flows come from the compiled game's rows
         sig = Signal(pi=[[0.5, 0.0]], nu=0.5)
         game = CompiledGame.of(GameConfig(
@@ -391,7 +391,11 @@ class TestValidation:
           ]],
         # nor is it a scalar number, though float(True) is 1.0
         *[(benchmark_config, {name: True}, ConfigurationError, f"{name} must be a number, got True")
-          for name in ("m_max", "m_init", "theta_hat_init", "beta_min", "beta_max", "solver_tol")],
+          for name in ("m_max", "m_init", "theta_hat_init", "beta_min")],
+        # beta_min alone bounds the weights from below; 1 bounds them from above
+        (benchmark_config, {"beta_min": 1.0}, ConfigurationError, "beta_min = 1.0 outside (0, 1)"),
+        (benchmark_config, {"solver_tol": True}, ConfigurationError,
+         "solver_tol must be a number, got True"),
         (Signal, {"pi": [[0.5, 0.5]], "nu": True}, ConfigurationError,
          "participation fraction nu must be a number, got True"),
         (Scenario.discounted, {"discount": True}, ConfigurationError,
