@@ -1,18 +1,18 @@
 """Repeated parallel-link routing game with partial route recommendations."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .dynamics import (SimulationState, Trajectory, TrajectoryRecord, calibration_score,
                        initial_state, simulate, step, write_trajectory_csv)
 from .equilibrium import (BestResponse, ObedienceReport, check_obedience, expected_latency,
                           potential, solve_bwe, verify_vi)
 from .errors import ConfigurationError, SolverError
-from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec, envelope_series
+from .estimators import LuenbergerSpec, SmoothingSpec, envelope_series
 from .model import (DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal,
                     m_max_default)
 
 __all__ = [
-    "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
+    "BestResponse", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
     "LatencyModel", "LuenbergerSpec", "ObedienceReport", "Prior", "Scenario",
     "Signal", "SimulationState", "SmoothingSpec", "SolverError",
     "Trajectory", "TrajectoryRecord", "calibration_score", "check_obedience",

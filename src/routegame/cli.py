@@ -31,7 +31,7 @@ from . import __version__
 from .dynamics import simulate, write_trajectory_csv
 from .equilibrium import check_obedience
 from .errors import ConfigurationError, SignalRowError, SolverError
-from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
+from .estimators import LuenbergerSpec, SmoothingSpec
 from .model import DisobedienceMatrix, GameConfig, LatencyModel, Prior, Scenario, Signal
 
 OUT_DIR_ENV = "ROUTEGAME_OUT"
@@ -50,7 +50,7 @@ _KEYS = {
     "solver_tol": (float, False), "rounds": (int, False), "seed": (int, False),
 }
 # The keys that GameConfig takes under their own names, read and written as they are.
-_OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "beta_min", "solver_tol", "rounds", "seed")
+_OWN_FIELDS = ("m_max", "m_init", "theta_hat_init", "solver_tol", "rounds", "seed")
 _PLAIN_NUMBERS = frozenset((int, float))  # the entry types YAML gives a list of numbers
 
 # libyaml's loader and dumper when PyYAML was built with it; they read and
@@ -205,10 +205,13 @@ def _parse_scenario(value) -> Scenario:
     raise ConfigurationError(f"unknown scenario {value!r}")
 
 
-def _parse_estimator(value, n: int) -> SmoothingSpec | LuenbergerSpec:
-    """``smoothing``, ``luenberger[=GAIN]`` or ``{luenberger: GAIN}``, GAIN a number or a list."""
+def _parse_estimator(value, n: int, smoothing: SmoothingSpec) -> SmoothingSpec | LuenbergerSpec:
+    """``smoothing``, ``luenberger[=GAIN]`` or ``{luenberger: GAIN}``, GAIN a number or a list.
+
+    ``smoothing`` selects the spec given, which holds the file's ``beta`` and ``beta_min``.
+    """
     if value == "smoothing":
-        return SmoothingSpec()
+        return smoothing
     if isinstance(value, str):
         name, eq, gain = value.partition("=")
         if name == "luenberger":
@@ -245,15 +248,10 @@ def _build_config(raw: dict, path: str = "<config>") -> GameConfig:
         else:
             disobedience = DisobedienceMatrix.default(latency.n)
 
-        # the weights are checked under the observer too: --estimator smoothing reads them
-        schedule = SmoothingSpec().schedule
-        if isinstance(values.get("beta"), list):
-            schedule = BetaSchedule.from_sequence(values["beta"])
-        elif "beta" in values:
-            schedule = BetaSchedule.constant(values["beta"])
-        estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n)
-        if isinstance(estimator, SmoothingSpec):
-            estimator = SmoothingSpec(schedule)
+        # beta and beta_min are checked under the observer too: --estimator smoothing reads them
+        smoothing = SmoothingSpec(**{key: values[key] for key in ("beta", "beta_min")
+                                     if key in values})
+        estimator = _parse_estimator(values.get("estimator", "smoothing"), latency.n, smoothing)
 
         return GameConfig(
             latency=latency,
@@ -280,8 +278,9 @@ def config_to_dict(config: GameConfig) -> dict:
     It stands for the run, not for the file: loaded again it gives a config
     that makes the same run, while a value the run does not read is written
     as the one the loader would fill in.  Under the observer the smoothing
-    weight is unused, so the form writes ``beta: 0.5`` whatever the file
-    gave.
+    spec is unused, so the form writes the default ``beta: 0.5`` and
+    ``beta_min: 0.3`` whatever the file gave, and it loads under either
+    estimator.  The keys come in the order of ``_KEYS``.
     """
     if config.scenario.kind == "discounted":
         scenario: object = {"discounted": config.scenario.discount}
@@ -289,23 +288,25 @@ def config_to_dict(config: GameConfig) -> dict:
         scenario = config.scenario.kind
     if isinstance(config.estimator, LuenbergerSpec):
         estimator: object = {"luenberger": list(config.estimator.gain)}
-        beta: object = 0.5
+        smoothing = SmoothingSpec()
     else:
         estimator = "smoothing"
-        schedule = config.estimator.schedule
-        beta = schedule.value if schedule.values is None else list(schedule.values)
-    return {
+        smoothing = config.estimator
+    beta = smoothing.beta
+    resolved = {
         "states": list(config.latency.states),
         "coeffs": config.latency.coeffs.tolist(),
         "prior": config.prior.mu0.tolist(),
         "nu": config.signal.nu,
         "signal": config.signal.pi.tolist(),
         "disobedience": config.disobedience.matrix.tolist(),
-        "beta": beta,
+        "beta": beta if isinstance(beta, float) else list(beta),
+        "beta_min": smoothing.beta_min,
         "scenario": scenario,
         "estimator": estimator,
         **{key: getattr(config, key) for key in _OWN_FIELDS},
     }
+    return {key: resolved[key] for key in _KEYS}
 
 
 def config_digest(config: GameConfig) -> str:

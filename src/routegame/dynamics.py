@@ -209,7 +209,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
     from it.  The first round compiles the game; the state carries it on.
     Both disobeying fractions, the drawn one and the observer's forecast,
     are :func:`theta_of_m`, and the smoothing weight is
-    :meth:`BetaSchedule._at`.  A regret that leaves [-m_max, m_max] is
+    :meth:`SmoothingSpec._at`.  A regret that leaves [-m_max, m_max] is
     clamped to it with a warning, and one that is not finite raises
     :class:`ConfigurationError` naming the round; so does a non-finite regret
     estimate of the observer; the row of a round that raises is not written.
@@ -268,7 +268,7 @@ def step(config: GameConfig, state: SimulationState, trajectory: Trajectory) -> 
         m_next = min(max(m_next, -m_max), m_max)
 
     if game.gain is None:
-        state.theta_hat = smooth(theta_hat, theta, game.schedule._at(k + 1))
+        state.theta_hat = smooth(theta_hat, theta, game.smoothing._at(k + 1))
     else:
         m_hat = observe(state.m_hat, k, u, game.gain, ell, poly_rows(latency, x_hat + y))
         if not math.isfinite(m_hat):
@@ -347,8 +347,8 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
     Each state label is written by :func:`_csv_cell`; no other cell needs
     quoting.  Envelope columns require the smoothing estimator and a trajectory
     that holds every round from round 1 on, such as a prefix of a run: the
-    bracket is rebuilt from round 1's forecast error and the configured weight
-    schedule.  A slice of any other rounds exports without them.
+    bracket is rebuilt from round 1's forecast error and the estimator's
+    weights and ``beta_min``.  A slice of any other rounds exports without them.
     """
     if not len(trajectory):
         raise ConfigurationError("cannot export an empty trajectory")
@@ -361,7 +361,7 @@ def write_trajectory_csv(path, trajectory: Trajectory, config: GameConfig,
             raise ConfigurationError("envelope columns need every round from round 1 on, "
                                      f"got {trajectory.rounds}")
         e1 = trajectory.theta[0] - trajectory.theta_hat[0]  # round 1's e_theta
-        bounds = envelope_series(len(trajectory), e1, config.beta_min, config.estimator.schedule)
+        bounds = envelope_series(len(trajectory), e1, config.estimator)
 
     # Each block of rows is filled into its rows' %-templates at once; "%.17g"
     # prints a float as format(v, ".17g") does.  Each state label is quoted

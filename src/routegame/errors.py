@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number check that raises one."""
+"""Exception types shared across the package, and the number checks that raise one."""
 
 from __future__ import annotations
 
@@ -36,6 +36,13 @@ def _real(x, name: str) -> float:
         except OverflowError:
             pass
     raise ConfigurationError(f"{name} must be a number, got {x!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, if it is an integer; a boolean is not one here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class SolverError(RuntimeError):

@@ -5,10 +5,11 @@ fraction, and an observer that mirrors the regret recursion and corrects it with
 the gap between observed and predicted latencies.
 
 Each is a recursion on one float, the forecast theta_hat or the regret estimate
-m_hat, computed by :func:`smooth` and :func:`observe`; the weight schedule, gain
-and round index come from the run.  Neither checks its arguments: the config
-they derive from was validated when it was built.  Fed a run's own columns,
-the two reproduce its ``theta_hat`` column bit for bit.
+m_hat, computed by :func:`smooth` and :func:`observe`; the weight, gain and
+round index come from the run.  Neither checks its arguments: each estimator
+spec checked its values when it was built, and the config that holds it
+checked the rest.  Fed a run's own columns, the two reproduce its
+``theta_hat`` column bit for bit.
 """
 
 from __future__ import annotations
@@ -18,41 +19,39 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import ConfigurationError, _real
+from .errors import ConfigurationError, _integer, _real
 
 
 @dataclass(frozen=True)
-class BetaSchedule:
-    """Smoothing weights beta(t) for t >= 2, either constant or an explicit sequence.
+class SmoothingSpec:
+    """Estimator choice: exponential smoothing with weights beta(t), t >= 2, above ``beta_min``.
 
-    The weights are stored as floats; :meth:`_at` is the one place that knows
-    that ``values[j]`` is beta(j + 2).
+    ``beta`` is one weight for every round or a sequence beta(2), beta(3), ...,
+    stored as a float or a tuple of floats; :meth:`_at` is the one place that
+    knows that ``beta[j]`` is beta(j + 2).  ``beta_min`` lies in (0, 1) and
+    each weight in (``beta_min``, 1), the range over which
+    :func:`envelope_series` holds.  Both are checked here, once.
     """
 
-    value: float | None = 0.5
-    values: tuple[float, ...] | None = None
+    beta: float | tuple[float, ...] = 0.5
+    beta_min: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.value is not None and self.values is not None:
-            raise ConfigurationError("beta schedule needs exactly one of a constant or a sequence")
-        if self.value is not None:
-            object.__setattr__(self, "value", _real(self.value, "beta"))
-        elif isinstance(self.values, (list, tuple, np.ndarray)):
-            object.__setattr__(self, "values",
-                               tuple(_real(b, "beta entry") for b in self.values))
-        else:  # None too: a schedule needs one of the two
-            raise ConfigurationError(f"beta must be a list of numbers, got {self.values!r}")
-        for b in (self.values if self.values is not None else (self.value,)):
-            if not 0.0 < b < 1.0:
-                raise ConfigurationError(f"smoothing weight {b} outside (0, 1)")
-
-    @classmethod
-    def constant(cls, beta: float) -> "BetaSchedule":
-        return cls(value=_real(beta, "beta"), values=None)  # so None is not the sequence form
-
-    @classmethod
-    def from_sequence(cls, seq) -> "BetaSchedule":
-        return cls(value=None, values=seq)
+        beta_min = _real(self.beta_min, "beta_min")
+        if not 0.0 < beta_min < 1.0:  # NaN fails too
+            raise ConfigurationError(f"beta_min = {beta_min} outside (0, 1)")
+        if isinstance(self.beta, (list, tuple, np.ndarray)):
+            beta = sequence = tuple(_real(b, "beta entry") for b in self.beta)
+        else:
+            beta, sequence = _real(self.beta, "beta"), None
+        for b in (beta,) if sequence is None else sequence:
+            if not beta_min < b < 1.0:  # NaN fails too
+                raise ConfigurationError(
+                    f"smoothing weight {b} not strictly inside ({beta_min}, 1)")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta_min", beta_min)
+        # not a field: _at tests it against None, which costs less than a type test of beta
+        object.__setattr__(self, "_sequence", sequence)
 
     def _at(self, t: int) -> float:
         """Weight used to form the forecast for round t >= 2.
@@ -61,21 +60,7 @@ class BetaSchedule:
         and :func:`envelope_series`, read only rounds 2 .. the length their
         config or entry check has ensured the sequence reaches.
         """
-        return self.value if self.values is None else self.values[t - 2]
-
-    def check_bounds(self, beta_min: float) -> None:
-        """Each weight lies in (beta_min, 1), the range over which the envelope holds."""
-        for b in (self.values if self.values is not None else (self.value,)):
-            if b <= beta_min:  # b < 1 holds by construction
-                raise ConfigurationError(
-                    f"smoothing weight {b} not strictly inside ({beta_min}, 1)")
-
-
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Estimator choice: exponential smoothing with the given weight schedule."""
-
-    schedule: BetaSchedule = BetaSchedule.constant(0.5)
+        return self.beta if self._sequence is None else self._sequence[t - 2]
 
 
 @dataclass(frozen=True)
@@ -118,25 +103,23 @@ def observe(m_hat: float, k: int, u: float, gain: np.ndarray, ell: np.ndarray,
     return k / (k + 1.0) * m_hat + u / (k + 1.0) + float(gain.dot(ell - ell_hat))
 
 
-def envelope_series(num_rounds: int, e1: float, beta_min: float,
-                    beta_schedule: BetaSchedule) -> tuple[np.ndarray, np.ndarray]:
+def envelope_series(num_rounds: int, e1: float,
+                    smoothing: SmoothingSpec) -> tuple[np.ndarray, np.ndarray]:
     """Envelope for k = 1..num_rounds via the exact recursions.
 
     Row k - 1 holds (lower, upper) for round k; round 1 is seeded at (e1, e1).
     The inputs are checked here, once: an integral ``num_rounds`` >= 1, a
-    finite ``e1``, a ``beta_min`` in (0, 1) and a schedule with a weight for
-    every round 2..num_rounds.
+    finite ``e1`` and a spec with a weight for every round 2..num_rounds; the
+    spec checked its weights and ``beta_min`` when it was built.
     """
-    if isinstance(num_rounds, bool) or not isinstance(num_rounds, (int, np.integer)):
-        raise ConfigurationError(f"num_rounds must be an integer, got {type(num_rounds).__name__}")
+    num_rounds = _integer(num_rounds, "num_rounds")
     if num_rounds < 1:
         raise ConfigurationError("envelope series needs at least one round")
     if not -inf < _real(e1, "e1") < inf:  # NaN fails too
         raise ConfigurationError(f"e1 must be finite, got {e1}")
-    if not 0.0 < _real(beta_min, "beta_min") < 1.0:
-        raise ConfigurationError(f"beta_min = {beta_min} outside (0, 1)")
-    if beta_schedule.values is not None and len(beta_schedule.values) < num_rounds - 1:
-        raise ConfigurationError(f"beta schedule has {len(beta_schedule.values)} entries, "
+    beta, beta_min = smoothing.beta, smoothing.beta_min
+    if isinstance(beta, tuple) and len(beta) < num_rounds - 1:
+        raise ConfigurationError(f"beta schedule has {len(beta)} entries, "
                                  f"round {num_rounds} requested")
     lower = np.empty(num_rounds)
     upper = np.empty(num_rounds)
@@ -144,7 +127,7 @@ def envelope_series(num_rounds: int, e1: float, beta_min: float,
     prod = 1.0
     dt = 0.0
     for k in range(2, num_rounds + 1):
-        prod *= 1.0 - beta_schedule._at(k)
+        prod *= 1.0 - smoothing._at(k)
         dt = (1.0 - beta_min) * dt + 1.0 / k
         lower[k - 1] = prod * e1 - 2.0 * dt
         upper[k - 1] = prod * e1 + 2.0 * dt

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _NUMBERS, ConfigurationError, SignalRowError, _real
-from .estimators import BetaSchedule, LuenbergerSpec, SmoothingSpec
+from .errors import _NUMBERS, ConfigurationError, SignalRowError, _integer, _real
+from .estimators import LuenbergerSpec, SmoothingSpec
 
 logger = logging.getLogger(__name__)
 
@@ -125,13 +125,6 @@ def _unit_interval(x, name: str) -> float:
     if not 0.0 <= x <= 1.0:  # NaN fails too
         raise ConfigurationError(f"{name} = {x} outside [0, 1]")
     return x
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int``, if it is an integer; a boolean is not one here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _link_vector(v, n: int, name: str) -> np.ndarray:
@@ -323,7 +316,10 @@ class GameConfig:
 
     ``m_max`` defaults to :func:`m_max_default` of the latency model, the
     smallest normalizer guaranteed to keep the disobedience fraction in
-    [0, 1]; a value more than ``INPUT_TOL`` below it is rejected.
+    [0, 1]; a value more than ``INPUT_TOL`` below it is rejected.  The
+    estimator spec checks its own values; the config adds only the rules
+    that need another field: a ``beta`` list covers ``rounds``, and an
+    observer gain has one entry per link.
     """
 
     latency: LatencyModel
@@ -333,7 +329,6 @@ class GameConfig:
     m_max: float | None = None
     m_init: float = 0.0
     theta_hat_init: float = 0.0
-    beta_min: float = 0.3
     scenario: Scenario = field(default_factory=Scenario.baseline)
     estimator: SmoothingSpec | LuenbergerSpec = field(default_factory=SmoothingSpec)
     solver_tol: float = 1e-8
@@ -342,7 +337,7 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         # each scalar is stored as a Python float or int, whatever numeric type it came as
-        for name in ("m_init", "theta_hat_init", "beta_min", "solver_tol"):
+        for name in ("m_init", "theta_hat_init", "solver_tol"):
             if type(getattr(self, name)) is not float:
                 object.__setattr__(self, name, _real(getattr(self, name), name))
         for name in ("rounds", "seed"):
@@ -373,8 +368,6 @@ class GameConfig:
         if not -m_max <= self.m_init <= m_max:  # NaN fails too
             raise ConfigurationError(f"m_init={self.m_init} outside [-{m_max}, {m_max}]")
         _unit_interval(self.theta_hat_init, "theta_hat_init")
-        if not 0.0 < self.beta_min < 1.0:  # NaN fails too
-            raise ConfigurationError(f"beta_min = {self.beta_min} outside (0, 1)")
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         # Round k <= rounds folds the regret as (k m + u) / (k + 1).  After the
@@ -389,12 +382,11 @@ class GameConfig:
             raise ConfigurationError(
                 f"rounds={self.rounds} and m_max={m_max} can overflow the running-average "
                 f"regret: (rounds + 1) * max(m_max, {default_cap}) must be finite")
-        if isinstance(self.estimator, SmoothingSpec):
-            schedule = self.estimator.schedule
-            schedule.check_bounds(self.beta_min)
-            if schedule.values is not None and len(schedule.values) < self.rounds:
+        if isinstance(self.estimator, SmoothingSpec):  # the spec checked its own weights
+            beta = self.estimator.beta
+            if isinstance(beta, tuple) and len(beta) < self.rounds:
                 raise ConfigurationError(
-                    f"beta schedule has {len(schedule.values)} entries; "
+                    f"beta schedule has {len(beta)} entries; "
                     f"{self.rounds} rounds need at least {self.rounds}")
         elif isinstance(self.estimator, LuenbergerSpec):
             if len(self.estimator.gain) != lat.n:
@@ -492,7 +484,7 @@ class CompiledGame:
     step_mass_powers: np.ndarray        # (degree, 1) column mass ** (step_rank - 1)
     discount: float | None              # set for the discounted scenario only
     dynamic_nu: bool
-    schedule: BetaSchedule | None       # smoothing estimator only
+    smoothing: SmoothingSpec | None     # smoothing estimator only
     gain: np.ndarray | None             # observer estimator only
 
     @classmethod
@@ -524,7 +516,7 @@ class CompiledGame:
             step_mass_powers=mass ** (rank - 1.0),
             discount=config.scenario.discount,
             dynamic_nu=config.scenario.kind == "dynamic_nu",
-            schedule=est.schedule if isinstance(est, SmoothingSpec) else None,
+            smoothing=est if isinstance(est, SmoothingSpec) else None,
             gain=np.asarray(est.gain, dtype=float) if isinstance(est, LuenbergerSpec) else None,
         )
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, DisobedienceMatrix, GameConfig,
-                       LatencyModel, Prior, Signal)
+from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel, Prior,
+                       Signal, SmoothingSpec)
 from routegame.model import CompiledGame, flows
 
 # Affine two-link, two-state benchmark network used throughout: constants
@@ -139,13 +139,14 @@ def delta_tilde(k: int, beta_min: float) -> float:
     return float(np.sum((1.0 - beta_min) ** (k - t) / t))
 
 
-def beta_weight(schedule: BetaSchedule, t: int) -> float:
-    """The smoothing weight of round t >= 2, read from the schedule's stored weights.
+def beta_weight(smoothing: SmoothingSpec, t: int) -> float:
+    """The smoothing weight of round t >= 2, read from the spec's public ``beta``.
 
     The reference for the weight that ``step`` and ``envelope_series`` read
-    through the schedule's internal accessor.
+    through the spec's internal accessor.
     """
-    return schedule.value if schedule.values is None else schedule.values[t - 2]
+    beta = smoothing.beta
+    return beta if isinstance(beta, float) else beta[t - 2]
 
 
 def reference_project_simplex(v: np.ndarray, mass: float) -> np.ndarray:

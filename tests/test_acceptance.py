@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from routegame import (BetaSchedule, Scenario, check_obedience, envelope_series,
+from routegame import (Scenario, SmoothingSpec, check_obedience, envelope_series,
                        expected_latency, calibration_score, potential, simulate, solve_bwe,
                        verify_vi)
 from routegame.cli import main
@@ -117,7 +117,7 @@ def test_criterion_04_fixed_m_forecast_decay():
     envelope_ok = True
     beta_min, beta_max = 0.3, 0.7
     for _ in range(3):
-        schedule = BetaSchedule.from_sequence(rng.uniform(beta_min, beta_max, size=1000))
+        schedule = SmoothingSpec(rng.uniform(beta_min, beta_max, size=1000), beta_min=beta_min)
         theta_hat = float(rng.uniform(0, 1))
         e1 = abs(theta - theta_hat)
         for k in range(1, 1000):
@@ -143,8 +143,7 @@ def test_criterion_05_envelope_containment(homogeneous_runs, baseline_runs, disc
                          (dynamic_nu_runs, benchmark_config())):
         for trajectory in runs[0]:
             e = np.array([r.e_theta for r in trajectory])
-            lower, upper = envelope_series(len(trajectory), e[0], config.beta_min,
-                                           config.estimator.schedule)
+            lower, upper = envelope_series(len(trajectory), e[0], config.estimator)
             worst_violation = max(worst_violation,
                                   float(np.max(lower - e)), float(np.max(e - upper)))
             checked += 1

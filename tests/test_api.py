@@ -7,7 +7,7 @@ import types
 import routegame
 
 PUBLIC_NAMES = [
-    "BestResponse", "BetaSchedule", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
+    "BestResponse", "ConfigurationError", "DisobedienceMatrix", "GameConfig",
     "LatencyModel", "LuenbergerSpec", "ObedienceReport", "Prior", "Scenario", "Signal",
     "SimulationState", "SmoothingSpec", "SolverError", "Trajectory", "TrajectoryRecord",
     "calibration_score", "check_obedience", "envelope_series", "expected_latency",

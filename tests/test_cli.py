@@ -26,7 +26,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, GameConfig, LuenbergerSpec, Scenario,
+from routegame import (ConfigurationError, GameConfig, LuenbergerSpec, Scenario, SmoothingSpec,
                        check_obedience, cli, simulate)
 from routegame.cli import (config_digest, config_to_dict, load_config, main)
 
@@ -155,7 +155,7 @@ class TestLoadConfig:
                                match=re.escape(f"unknown config keys ['{key}']")):
                 load_config(path)
         cfg = load_config(write_config(tmp_path, beta=[0.4, 0.5, 0.99], rounds=3))
-        assert cfg.estimator.schedule == BetaSchedule.from_sequence([0.4, 0.5, 0.99])
+        assert cfg.estimator == SmoothingSpec([0.4, 0.5, 0.99])
 
     def test_flag_style_scenario_strings(self):
         from routegame.cli import _parse_scenario
@@ -180,16 +180,18 @@ class TestLoadConfig:
 
     def test_flag_style_estimator_strings(self):
         from routegame.cli import _parse_estimator
-        from routegame import SmoothingSpec
-        assert isinstance(_parse_estimator("smoothing", 2), SmoothingSpec)
-        assert _parse_estimator("luenberger", 2) == LuenbergerSpec(gain=(0.0, 0.0))
-        assert _parse_estimator("luenberger=0.5", 3) == LuenbergerSpec(gain=(0.5, 0.5, 0.5))
+        # smoothing selects the spec that holds the file's beta and beta_min
+        file_pair = SmoothingSpec(0.6, beta_min=0.55)
+        assert _parse_estimator("smoothing", 2, file_pair) is file_pair
+        assert _parse_estimator("luenberger", 2, file_pair) == LuenbergerSpec(gain=(0.0, 0.0))
+        assert _parse_estimator("luenberger=0.5", 3, file_pair) == LuenbergerSpec(
+            gain=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigurationError):
-            _parse_estimator("kalman", 2)
+            _parse_estimator("kalman", 2, file_pair)
         # only luenberger and luenberger=GAIN select the observer; null is no estimator
         for value in ("luenberger0.5", "luenbergerx", None):
             with pytest.raises(ConfigurationError, match="unknown estimator"):
-                _parse_estimator(value, 2)
+                _parse_estimator(value, 2, file_pair)
 
     @pytest.mark.parametrize("line, field, value", [
         ("solver_tol: 1e-9", "solver_tol", 1e-9),
@@ -225,7 +227,7 @@ class TestLoadConfig:
             load_config(path)
         path = write_config(tmp_path, beta=[0.4, 0.5, 0.6], rounds=3)
         cfg = load_config(path)
-        assert cfg.estimator.schedule.values == (0.4, 0.5, 0.6)
+        assert cfg.estimator.beta == (0.4, 0.5, 0.6)
 
 
 def parity_config(name: str, tmp_path: Path) -> Path:
@@ -468,28 +470,57 @@ class TestDigest:
         same_int = value == int(value) and math.copysign(1.0, value) == 1.0
         forms = [float(value), np.float64(value)] + ([int(value)] if same_int else [])
         base = load_config(PAPER_CONFIG)
-        digests = {config_digest(replace(base, **{field: form})) for form in forms}
+
+        def with_value(v) -> GameConfig:  # beta_min is the smoothing spec's
+            if field == "beta_min":
+                return replace(base, estimator=SmoothingSpec(base.estimator.beta, beta_min=v))
+            return replace(base, **{field: v})
+        digests = {config_digest(with_value(form)) for form in forms}
         assert len(digests) == 1
         with tempfile.TemporaryDirectory() as tmp:
             dump = Path(tmp) / "resolved.yaml"
-            dump.write_text(yaml.safe_dump(config_to_dict(replace(base, **{field: value}))))
+            dump.write_text(yaml.safe_dump(config_to_dict(with_value(value))))
             assert {config_digest(load_config(dump))} == digests
 
     def test_digest_changes_with_any_field(self, tmp_path):
-        base = config_digest(load_config(write_config(tmp_path)))
-        variants = [
-            dict(seed=1),
-            dict(rounds=10),
-            dict(theta_hat_init=0.3),
-            dict(m_init=25.0),
-            dict(solver_tol=1e-7),
-            dict(scenario="dynamic_nu"),
-            dict(prior=[0.7, 0.3]),
-        ]
-        for overrides in variants:
-            digest = config_digest(load_config(write_config(tmp_path, **overrides)))
-            assert digest != base, overrides
-        assert config_digest(load_config(write_config(tmp_path))) == base
+        def digest(**overrides) -> str:
+            return config_digest(load_config(write_config(tmp_path, **overrides)))
+
+        # two links admit one disobedience matrix, the default, so that key is varied on three
+        three = dict(coeffs=[[[5, 25, 10], [20, 15, 10]], [[4, 2, 1], [1, 2, 1]]],
+                     signal=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        variants = {
+            "states": ({}, dict(states=["a", "b"])),
+            "coeffs": ({}, dict(coeffs=[[[5, 25], [20, 15]], [[4, 2], [1, 3]]])),
+            "prior": ({}, dict(prior=[0.7, 0.3])),
+            "nu": ({}, dict(nu=0.6, signal=[[0.6, 0.0], [0.0, 0.6]])),
+            "signal": ({}, dict(signal=[[0.25, 0.25], [0.0, 0.5]])),
+            "disobedience": (three, dict(three, disobedience=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
+            "beta": ({}, dict(beta=0.6)),
+            "scenario": ({}, dict(scenario="dynamic_nu")),
+            "estimator": ({}, dict(estimator={"luenberger": 0.0})),
+            "m_max": ({}, dict(m_max=60.0)),
+            "m_init": ({}, dict(m_init=25.0)),
+            "theta_hat_init": ({}, dict(theta_hat_init=0.3)),
+            "beta_min": ({}, dict(beta_min=0.2)),
+            "solver_tol": ({}, dict(solver_tol=1e-7)),
+            "rounds": ({}, dict(rounds=10)),
+            "seed": ({}, dict(seed=1)),
+        }
+        assert list(variants) == list(cli._KEYS)
+        for key, (base, changed) in variants.items():
+            assert digest(**changed) != digest(**base), key
+
+    def test_observer_digest_ignores_smoothing_keys(self, tmp_path):
+        # the digest stands for the run, and the observer reads neither beta nor beta_min
+        def digest(**overrides) -> str:
+            return config_digest(load_config(write_config(
+                tmp_path, estimator={"luenberger": 0.0}, rounds=10, **overrides)))
+
+        base = digest()
+        for overrides in (dict(beta=0.6), dict(beta_min=0.45), dict(beta=0.8, beta_min=0.6),
+                          dict(beta=[0.6] * 10)):
+            assert digest(**overrides) == base, overrides
 
 
 class TestSimulateCommand:
@@ -519,19 +550,23 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("scenario", ["baseline", "discounted=0.9", "dynamic-nu"])
     @pytest.mark.parametrize("estimator", ["smoothing", "luenberger=0.01"])
     def test_resolved_config_reproduces_the_run(self, tmp_path, scenario, estimator):
-        # it stands for the run, not the file: the observer reads no beta, so 0.6 is not kept
-        path = write_config(tmp_path, beta=0.6)
+        # it stands for the run, not the file: the observer reads neither beta nor beta_min,
+        # so 0.6 and 0.55 are not kept, and the defaults written load under either estimator
+        path = write_config(tmp_path, beta=0.6, beta_min=0.55)
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["simulate", "--config", str(path), "--rounds", "60", "--seed", "2",
                      "--scenario", scenario, "--estimator", estimator, "--out", str(first)]) == 0
         resolved = first / "resolved_config.yaml"
-        assert yaml.safe_load(resolved.read_text())["beta"] == (
-            0.6 if estimator == "smoothing" else 0.5)
+        written = yaml.safe_load(resolved.read_text())
+        assert (written["beta"], written["beta_min"]) == (
+            (0.6, 0.55) if estimator == "smoothing" else (0.5, 0.3))
         assert main(["simulate", "--config", str(resolved), "--seed", "2",
                      "--out", str(again)]) == 0
         csv_name = "run000_seed2.csv"
         assert (again / csv_name).read_bytes() == (first / csv_name).read_bytes()
         assert resolved.read_bytes() == (again / "resolved_config.yaml").read_bytes()
+        assert main(["simulate", "--config", str(resolved), "--estimator", "smoothing",
+                     "--out", str(tmp_path / "smoothing")]) == 0
 
     def test_three_link_schema(self, tmp_path):
         import numpy as np
@@ -870,6 +905,19 @@ class TestCheckObedienceCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+    @pytest.mark.parametrize("smoothing, message", [
+        # --estimator smoothing reads the pair, so the observer does not hide a bad one
+        ({"beta": 0.2}, "smoothing weight 0.2 not strictly inside (0.3, 1)"),
+        ({"beta": [0.8, 0.2]}, "smoothing weight 0.2 not strictly inside (0.3, 1)"),
+        ({"beta": 0.8, "beta_min": 0.9}, "smoothing weight 0.8 not strictly inside (0.9, 1)"),
+        ({"beta_min": 1.5}, "beta_min = 1.5 outside (0, 1)"),
+    ])
+    def test_malformed_smoothing_under_the_observer_exit_one(self, tmp_path, capsys, smoothing,
+                                                             message):
+        path = write_config(tmp_path, estimator={"luenberger": 0}, **smoothing)
+        assert main(["check-obedience", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_null_beta_schedule_exit_one(self, tmp_path, capsys):
         # write_config drops a None value, so the null is written as text

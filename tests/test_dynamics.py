@@ -455,8 +455,7 @@ def reference_trajectory_csv(path, trajectory, config, with_envelope=False) -> N
     """Reference writer: every value through ``format(v, ".17g")``, every row through csv."""
     lower = upper = None
     if with_envelope:
-        lower, upper = envelope_series(len(trajectory), trajectory[0].e_theta,
-                                       config.beta_min, config.estimator.schedule)
+        lower, upper = envelope_series(len(trajectory), trajectory[0].e_theta, config.estimator)
 
     def fmt(v: float) -> str:
         return format(float(v), ".17g")

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, Signal, SmoothingSpec, envelope_series,
-                       simulate)
+from routegame import ConfigurationError, Signal, SmoothingSpec, envelope_series, simulate
 from routegame.cli import load_config
 from routegame.dynamics import theta_of_m
 from routegame.estimators import observe, smooth
@@ -22,65 +21,82 @@ from test_dynamics import skip_games
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_affine.yaml"
 
 
-def e_theta_envelope(k: int, e1: float, beta_min: float,
-                     beta_schedule: BetaSchedule) -> tuple[float, float]:
+def e_theta_envelope(k: int, e1: float, smoothing: SmoothingSpec) -> tuple[float, float]:
     """Bracket for the forecast error at round k, by its pointwise definition.
 
-    The reference that ``envelope_series`` is checked against.  The center is the product of (1 - beta(t)) over t = 2..k applied to e1; the
-    width is twice the harmonic drift term, which uses beta_min only.
+    The reference that ``envelope_series`` is checked against.  The center is
+    the product of (1 - beta(t)) over t = 2..k applied to e1; the width is
+    twice the harmonic drift term, which uses beta_min only.
     """
     if k < 2:
         raise ConfigurationError(f"envelope defined for k >= 2, got {k}")
     prod = 1.0
     for t in range(2, k + 1):
-        prod *= 1.0 - beta_weight(beta_schedule, t)
+        prod *= 1.0 - beta_weight(smoothing, t)
     center = prod * e1
-    width = 2.0 * delta_tilde(k, beta_min)
+    width = 2.0 * delta_tilde(k, smoothing.beta_min)
     return center - width, center + width
 
 
-class TestBetaSchedule:
-    def test_exactly_one_form(self):
-        with pytest.raises(ConfigurationError):
-            BetaSchedule(value=0.5, values=(0.4, 0.5))
-        with pytest.raises(ConfigurationError):
-            BetaSchedule(value=None, values=None)
-
+class TestSmoothingSpec:
     def test_range_checks(self):
         with pytest.raises(ConfigurationError):
-            BetaSchedule.constant(1.0)
+            SmoothingSpec(1.0)
         with pytest.raises(ConfigurationError):
-            BetaSchedule.from_sequence([0.4, 0.0])
+            SmoothingSpec([0.4, 0.0])
         # a weight lies in (beta_min, 1): any weight above beta_min, 0.99 included
         for beta in (0.5, 0.7, 0.99):
-            BetaSchedule.constant(beta).check_bounds(0.3)
-        BetaSchedule.from_sequence([0.31, 0.99]).check_bounds(0.3)
+            SmoothingSpec(beta, beta_min=0.3)
+        SmoothingSpec([0.31, 0.99], beta_min=0.3)
         with pytest.raises(ConfigurationError, match=re.escape("0.3 not strictly inside (0.3, 1)")):
-            BetaSchedule.constant(0.3).check_bounds(0.3)
+            SmoothingSpec(0.3, beta_min=0.3)
         with pytest.raises(ConfigurationError, match=re.escape("0.2 not strictly inside (0.3, 1)")):
-            BetaSchedule.from_sequence([0.5, 0.2]).check_bounds(0.3)
+            SmoothingSpec([0.5, 0.2], beta_min=0.3)
 
     def test_custom_indexing(self):
         # the first weight is beta(2): the envelope's center (1 - beta(2)) ... (1 - beta(k)) e1;
         # a sequence too short for its rounds is rejected by GameConfig and envelope_series
         # (TestEnvelope.test_short_schedule_rejected)
-        sched = BetaSchedule.from_sequence([0.4, 0.5, 0.6])
-        lower, upper = envelope_series(4, 1.0, 0.3, sched)
+        lower, upper = envelope_series(4, 1.0, SmoothingSpec([0.4, 0.5, 0.6]))
         assert (lower + upper) / 2.0 == pytest.approx([1.0, 0.6, 0.6 * 0.5, 0.6 * 0.5 * 0.4],
                                                       abs=1e-15)
 
+    def test_stored_as_floats(self):
+        # a constant is a float and a list a tuple of floats, whatever numeric types they came as
+        spec = SmoothingSpec(np.float32(0.5), beta_min=np.float32(0.25))
+        assert (spec.beta, spec.beta_min) == (0.5, 0.25)
+        assert type(spec.beta) is float and type(spec.beta_min) is float
+        spec = SmoothingSpec(np.array([0.5, 0.75]))
+        assert spec.beta == (0.5, 0.75) and type(spec.beta[0]) is float
+        assert spec == SmoothingSpec([0.5, 0.75])
+
     @pytest.mark.parametrize("make, message", [
-        (lambda: BetaSchedule.from_sequence(["a"]), "beta entry must be a number, got 'a'"),
-        (lambda: BetaSchedule.from_sequence([0.4, [0.5]]),
-         "beta entry must be a number, got [0.5]"),
-        (lambda: BetaSchedule.from_sequence(0.5), "beta must be a list of numbers, got 0.5"),
-        (lambda: BetaSchedule.constant("a"), "beta must be a number, got 'a'"),
-        (lambda: BetaSchedule.constant([0.5]), "beta must be a number, got [0.5]"),
-    ], ids=["sequence-string", "sequence-list", "sequence-scalar", "constant-string",
-            "constant-list"])
+        (lambda: SmoothingSpec(["a"]), "beta entry must be a number, got 'a'"),
+        (lambda: SmoothingSpec([0.4, [0.5]]), "beta entry must be a number, got [0.5]"),
+        (lambda: SmoothingSpec("a"), "beta must be a number, got 'a'"),
+        (lambda: SmoothingSpec(None), "beta must be a number, got None"),
+    ], ids=["sequence-string", "sequence-list", "constant-string", "constant-None"])
     def test_non_numeric_weight_rejected(self, make, message):
         with pytest.raises(ConfigurationError) as info:
             make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("beta, beta_min, message", [
+        # beta_min lies in (0, 1)
+        (0.5, np.nan, "beta_min = nan outside (0, 1)"),
+        (0.5, 1.0, "beta_min = 1.0 outside (0, 1)"),
+        (0.5, 0.0, "beta_min = 0.0 outside (0, 1)"),
+        (0.5, "a", "beta_min must be a number, got 'a'"),
+        (0.5, True, "beta_min must be a number, got True"),
+        # each weight lies above beta_min, so the envelope holds for every spec that exists
+        (0.01, 0.95, "smoothing weight 0.01 not strictly inside (0.95, 1)"),
+        ([0.96, 0.01], 0.95, "smoothing weight 0.01 not strictly inside (0.95, 1)"),
+        (np.nan, 0.3, "smoothing weight nan not strictly inside (0.3, 1)"),
+        ([0.5, 1.0], 0.3, "smoothing weight 1.0 not strictly inside (0.3, 1)"),
+    ])
+    def test_bounds_rejected(self, beta, beta_min, message):
+        with pytest.raises(ConfigurationError) as info:
+            SmoothingSpec(beta, beta_min=beta_min)
         assert str(info.value) == message
 
 
@@ -103,7 +119,7 @@ class TestSmoothing:
     def test_random_schedule_stays_in_geometric_envelope(self):
         rng = np.random.default_rng(4)
         beta_min, beta_max = 0.3, 0.7
-        schedule = BetaSchedule.from_sequence(rng.uniform(beta_min, beta_max, size=300))
+        schedule = SmoothingSpec(rng.uniform(beta_min, beta_max, size=300), beta_min=beta_min)
         target = 0.6
         theta_hat = 0.05
         e1 = abs(target - theta_hat)
@@ -122,7 +138,7 @@ class TestSmoothing:
         match = "theta_hat_init" if beta == 0.5 else "smoothing weight"
         with pytest.raises(ConfigurationError, match=match):
             benchmark_config(m_init=theta_observed * 51.0, theta_hat_init=theta_hat,
-                             estimator=SmoothingSpec(BetaSchedule.constant(beta)))
+                             estimator=SmoothingSpec(beta))
 
 
 class TestLuenberger:
@@ -196,7 +212,7 @@ class TestReplay:
     def test_kernels_replay_simulate(self, config, schedule_seed, zeros_seed):
         if isinstance(config.estimator, SmoothingSpec) and schedule_seed is not None:
             betas = np.random.default_rng(schedule_seed).uniform(0.31, 0.69, size=config.rounds)
-            config = replace(config, estimator=SmoothingSpec(BetaSchedule.from_sequence(betas)))
+            config = replace(config, estimator=SmoothingSpec(betas))
         if zeros_seed is not None:
             config = with_signed_zeros(config, zeros_seed)
         trajectory = simulate(config)
@@ -204,7 +220,7 @@ class TestReplay:
         m_hat = config.theta_hat_init * config.m_max
         for rec in trajectory[:-1]:
             if isinstance(config.estimator, SmoothingSpec):
-                beta = beta_weight(config.estimator.schedule, rec.k + 1)
+                beta = beta_weight(config.estimator, rec.k + 1)
                 theta_hat.append(smooth(theta_hat[-1], rec.theta, beta))
             else:
                 ell_hat = poly_rows(config.latency.coeffs[:, rec.omega, :], rec.x_hat + rec.y)
@@ -228,13 +244,14 @@ class TestReplay:
 
 class TestEnvelope:
     def test_hand_values_at_k2(self):
-        lower, upper = e_theta_envelope(2, 0.25, 0.5, BetaSchedule.constant(0.5))
+        # at k = 2 the drift is 1/2 whatever beta_min is
+        lower, upper = e_theta_envelope(2, 0.25, SmoothingSpec(0.5, beta_min=0.3))
         assert lower == pytest.approx(-0.875, abs=1e-15)
         assert upper == pytest.approx(1.125, abs=1e-15)
 
     def test_requires_k_at_least_two(self):
         with pytest.raises(ConfigurationError):
-            e_theta_envelope(1, 0.25, 0.3, BetaSchedule.constant(0.5))
+            e_theta_envelope(1, 0.25, SmoothingSpec())
 
     def test_drift_sum_small_at_ten_thousand(self):
         assert delta_tilde(10_000, 0.3) < 1e-3
@@ -245,61 +262,58 @@ class TestEnvelope:
         assert all(a >= b for a, b in zip(vals[peak:], vals[peak + 1:]))
 
     def test_zero_initial_error_envelope_shrinks(self):
-        lower, upper = e_theta_envelope(10_000, 0.0, 0.3, BetaSchedule.constant(0.5))
+        lower, upper = e_theta_envelope(10_000, 0.0, SmoothingSpec())
         assert upper == -lower
         assert upper < 2e-3
 
     def test_series_matches_pointwise_definition(self):
-        schedule = BetaSchedule.from_sequence(
-            np.random.default_rng(8).uniform(0.31, 0.69, size=60))
-        lower, upper = envelope_series(60, 0.2, 0.3, schedule)
+        smoothing = SmoothingSpec(np.random.default_rng(8).uniform(0.31, 0.69, size=60))
+        lower, upper = envelope_series(60, 0.2, smoothing)
         for k in (2, 3, 17, 42, 60):
-            lo, up = e_theta_envelope(k, 0.2, 0.3, schedule)
+            lo, up = e_theta_envelope(k, 0.2, smoothing)
             assert lower[k - 1] == pytest.approx(lo, rel=1e-12, abs=1e-15)
             assert upper[k - 1] == pytest.approx(up, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("num_rounds, e1, beta_min, match", [
-        (2.5, 0.2, 0.3, "num_rounds must be an integer, got float"),
-        (True, 0.2, 0.3, "num_rounds must be an integer, got bool"),
-        (0, 0.2, 0.3, "envelope series needs at least one round"),
-        (5, np.nan, 0.3, "e1 must be finite, got nan"),
-        (5, np.inf, 0.3, "e1 must be finite, got inf"),
-        (5, -np.inf, 0.3, "e1 must be finite, got -inf"),
-        (5, 0.2, np.nan, "beta_min = nan outside"),
-        (5, 0.2, 1.0, "beta_min = 1.0 outside"),
+    # beta_min is checked by the spec (TestSmoothingSpec.test_bounds_rejected)
+    @pytest.mark.parametrize("num_rounds, e1, message", [
+        (2.5, 0.2, "num_rounds must be an integer, got 2.5"),
+        (True, 0.2, "num_rounds must be an integer, got True"),
+        (0, 0.2, "envelope series needs at least one round"),
+        (5, np.nan, "e1 must be finite, got nan"),
+        (5, np.inf, "e1 must be finite, got inf"),
+        (5, -np.inf, "e1 must be finite, got -inf"),
     ])
-    def test_invalid_input_rejected(self, num_rounds, e1, beta_min, match):
-        with pytest.raises(ConfigurationError, match=match):
-            envelope_series(num_rounds, e1, beta_min, BetaSchedule.constant(0.5))
+    def test_invalid_input_rejected(self, num_rounds, e1, message):
+        with pytest.raises(ConfigurationError) as info:
+            envelope_series(num_rounds, e1, SmoothingSpec())
+        assert str(info.value) == message
 
     def test_short_schedule_rejected(self):
-        schedule = BetaSchedule.from_sequence([0.4, 0.5, 0.6])  # beta(2), beta(3), beta(4)
-        assert len(envelope_series(4, 0.2, 0.3, schedule)[0]) == 4
+        smoothing = SmoothingSpec([0.4, 0.5, 0.6])  # beta(2), beta(3), beta(4)
+        assert len(envelope_series(4, 0.2, smoothing)[0]) == 4
         with pytest.raises(ConfigurationError,
                            match="^beta schedule has 3 entries, round 5 requested$"):
-            envelope_series(5, 0.2, 0.3, schedule)
+            envelope_series(5, 0.2, smoothing)
 
-    @pytest.mark.parametrize("schedule", [
-        BetaSchedule.constant(0.7),
-        BetaSchedule.constant(0.9),
-        BetaSchedule.from_sequence([0.31 + 0.17 * (k % 5) for k in range(2000)]),  # to 0.99
+    @pytest.mark.parametrize("smoothing", [
+        SmoothingSpec(0.7),
+        SmoothingSpec(0.9),
+        SmoothingSpec([0.31 + 0.17 * (k % 5) for k in range(2000)]),  # to 0.99
     ], ids=["constant-0.7", "constant-0.9", "list-to-0.99"])
-    def test_containment_with_weights_up_to_one(self, schedule):
+    def test_containment_with_weights_up_to_one(self, smoothing):
         # each weight lies in (beta_min, 1); the envelope needs no upper bound below 1
-        cfg = replace(load_config(PAPER_CONFIG), rounds=2000, estimator=SmoothingSpec(schedule))
+        cfg = replace(load_config(PAPER_CONFIG), rounds=2000, estimator=smoothing)
         trajectory = simulate(cfg)
         theta_hat = trajectory.theta_hat
         assert np.all((theta_hat >= 0.0) & (theta_hat <= 1.0))
         e = trajectory.e_theta
-        lower, upper = envelope_series(len(trajectory), e[0], cfg.beta_min,
-                                       cfg.estimator.schedule)
+        lower, upper = envelope_series(len(trajectory), e[0], cfg.estimator)
         assert max(float(np.max(lower - e)), float(np.max(e - upper))) <= 1e-12
 
     def test_containment_on_simulated_run(self):
         cfg = benchmark_config(rounds=400)
         trajectory = simulate(cfg)
         e = np.array([r.e_theta for r in trajectory])
-        lower, upper = envelope_series(len(trajectory), e[0], cfg.beta_min,
-                                       cfg.estimator.schedule)
+        lower, upper = envelope_series(len(trajectory), e[0], cfg.estimator)
         assert np.all(e >= lower - 1e-12)
         assert np.all(e <= upper + 1e-12)

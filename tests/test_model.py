@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routegame import (BetaSchedule, ConfigurationError, DisobedienceMatrix, GameConfig,
-                       LatencyModel, LuenbergerSpec, Prior, Scenario, Signal, check_obedience,
+from routegame import (ConfigurationError, DisobedienceMatrix, GameConfig, LatencyModel,
+                       LuenbergerSpec, Prior, Scenario, Signal, SmoothingSpec, check_obedience,
                        envelope_series, expected_latency, m_max_default, potential, solve_bwe,
                        verify_vi)
 from routegame.dynamics import payoff_gap
@@ -391,9 +391,10 @@ class TestValidation:
           ]],
         # nor is it a scalar number, though float(True) is 1.0
         *[(benchmark_config, {name: True}, ConfigurationError, f"{name} must be a number, got True")
-          for name in ("m_max", "m_init", "theta_hat_init", "beta_min")],
+          for name in ("m_max", "m_init", "theta_hat_init")],
+        (SmoothingSpec, {"beta_min": True}, ConfigurationError, "beta_min must be a number, got True"),
         # beta_min alone bounds the weights from below; 1 bounds them from above
-        (benchmark_config, {"beta_min": 1.0}, ConfigurationError, "beta_min = 1.0 outside (0, 1)"),
+        (SmoothingSpec, {"beta_min": 1.0}, ConfigurationError, "beta_min = 1.0 outside (0, 1)"),
         (benchmark_config, {"solver_tol": True}, ConfigurationError,
          "solver_tol must be a number, got True"),
         (Signal, {"pi": [[0.5, 0.5]], "nu": True}, ConfigurationError,
@@ -506,19 +507,18 @@ class TestValidation:
         (lambda c: potential(c, "a", [0.25, 0.25]), "theta must be a number, got 'a'"),
         (lambda c: verify_vi(c, "a", [0.25, 0.25]), "theta must be a number, got 'a'"),
         (lambda c: check_obedience(c, tol="a"), "tol must be a number, got 'a'"),
-        (lambda c: envelope_series(5, "a", 0.3, BetaSchedule.constant(0.5)),
-         "e1 must be a number, got 'a'"),
-        (lambda c: envelope_series(5, 0.1, "a", BetaSchedule.constant(0.5)),
-         "beta_min must be a number, got 'a'"),
+        (lambda c: envelope_series(5, "a", SmoothingSpec()), "e1 must be a number, got 'a'"),
+        (lambda c: envelope_series("5", 0.1, SmoothingSpec()),
+         "num_rounds must be an integer, got '5'"),
         (lambda c: Scenario.discounted("a"), "scenario discount must be a number, got 'a'"),
         (lambda c: Signal(c.signal.pi, nu="a"),
          "participation fraction nu must be a number, got 'a'"),
         (lambda c: replace(c, m_init="a"), "m_init must be a number, got 'a'"),
         (lambda c: replace(c, theta_hat_init="a"), "theta_hat_init must be a number, got 'a'"),
-        (lambda c: replace(c, beta_min="a"), "beta_min must be a number, got 'a'"),
+        (lambda c: SmoothingSpec(beta_min="a"), "beta_min must be a number, got 'a'"),
         (lambda c: replace(c, solver_tol="a"), "solver_tol must be a number, got 'a'"),
     ], ids=["solve_bwe-str", "solve_bwe-None", "expected_latency", "potential", "verify_vi",
-            "check_obedience-tol", "envelope_series-e1", "envelope_series-beta_min",
+            "check_obedience-tol", "envelope_series-e1", "envelope_series-num_rounds",
             "Scenario-discount", "Signal-nu", "m_init", "theta_hat_init", "beta_min",
             "solver_tol"])
     def test_non_numeric_scalar_rejected(self, call, message):
